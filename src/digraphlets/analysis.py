@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InputError
 
@@ -52,6 +51,28 @@ class CohortStats:
     columns: tuple[str, ...]
 
 
+def _rank_columns(x: np.ndarray) -> np.ndarray:
+    """Per-column 1-based ranks, tied values sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(x, axis=0)``, NaN columns included,
+    without importing ``scipy.stats``.
+    """
+    n = len(x)
+    order = np.argsort(x, axis=0, kind="stable")
+    s = np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n)[:, None]
+    new = np.ones(s.shape, dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    last = np.ones(s.shape, dtype=bool)
+    last[:-1] = new[1:]
+    first_pos = np.maximum.accumulate(np.where(new, pos, 0), axis=0)
+    last_pos = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(s.shape)
+    np.put_along_axis(ranks, order, 0.5 * (first_pos + last_pos + 2), axis=0)
+    ranks[:, np.isnan(x).any(axis=0)] = np.nan
+    return ranks
+
+
 def _pearson_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise column Pearson r with constant columns defined as 0."""
     constant = (x == x[0]).all(axis=0)
@@ -79,7 +100,7 @@ def gcm(sig, method: str = "pearson") -> GraphletCorrelationMatrix:
     if x.ndim != 2 or len(x) < 3:
         raise InputError("correlation needs at least 3 signature rows")
     if method == "spearman":
-        x = rankdata(x, axis=0)
+        x = _rank_columns(x)
     elif method != "pearson":
         raise InputError(f"unknown correlation method {method!r}")
     r, constant = _pearson_columns(x)
@@ -160,27 +181,19 @@ class Dendrogram:
         return out
 
     def cut(self, k: int) -> np.ndarray:
-        """Cluster assignment per vertex when exactly k clusters remain.
+        """Cluster assignment per vertex after the first n-k merges.
 
         Clusters are numbered 0..k-1 in order of their smallest member.
         """
         n = self.n
         if not 1 <= k <= n:
             raise InputError(f"cut needs 1 <= k <= {n}, got {k}")
-        parent = np.arange(2 * n - 1)
-        for s in range(n - k):
-            a, b = int(self.merges[s, 0]), int(self.merges[s, 1])
-            parent[a] = parent[b] = n + s
-        roots = np.arange(n)
-        for _ in range(n):  # path length is bounded by the merge count
-            nxt = parent[roots]
-            if (nxt == roots).all():
-                break
-            roots = nxt
-        assignment = np.zeros(n, dtype=np.int64)
-        for rank, root in enumerate(sorted(set(roots.tolist()), key=lambda r: int(np.argmax(roots == r)))):
-            assignment[roots == root] = rank
-        return assignment
+        root = np.arange(2 * n - 1)
+        ids = self.merges[:, :2].astype(np.int64)
+        for s in range(n - k - 1, -1, -1):  # a cluster's parent is made later
+            root[ids[s]] = root[n + s]
+        _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(first))[inverse]
 
     def newick(self) -> str:
         """Newick text with branch lengths from merge heights."""
@@ -199,20 +212,18 @@ class Dendrogram:
 def ward_cluster(sig, standardize: bool = True) -> Dendrogram:
     """Agglomerate signature rows under Ward's minimum-variance linkage.
 
-    Distances start as Euclidean between rows (columns z-scored first
-    when ``standardize`` is set; constant columns are left at zero) and
-    squared distances are updated by the Lance-Williams recurrence
-
-        d(k, ij)^2 = [ (n_i+n_k) d(k,i)^2 + (n_j+n_k) d(k,j)^2
-                       - n_k d(i,j)^2 ] / (n_i + n_j + n_k),
-
-    the squared-distance flavor of Ward, so merging two singletons
-    happens at exactly their Euclidean distance.  Ties break toward the
-    lexicographically smallest (id_a, id_b) pair.
+    Columns are z-scored first when ``standardize`` is set (constant
+    columns are left at zero).  The tree is scipy's
+    ``linkage(method="ward")``, computed by the nearest-neighbour chain
+    in O(n^2) time: the ``ward.D2`` convention, so two singletons merge
+    at exactly their Euclidean distance.  Tied distances break in the
+    chain's order, which is deterministic for a given row order.
     """
     x = np.asarray(getattr(sig, "values", sig), dtype=np.float64)
     if x.ndim != 2 or len(x) < 2:
         raise InputError("clustering needs at least 2 signature rows")
+    if not np.isfinite(x).all():
+        raise InputError("clustering needs finite signature values")
     labels = getattr(sig, "labels", None)
     labels = tuple(labels) if labels else tuple(str(i) for i in range(len(x)))
     if len(labels) != len(x):
@@ -221,38 +232,7 @@ def ward_cluster(sig, standardize: bool = True) -> Dendrogram:
         mean = x.mean(axis=0)
         std = x.std(axis=0)
         x = np.divide(x - mean, std, out=np.zeros_like(x), where=std > 0)
-    n = len(x)
-    total = 2 * n - 1
-    sq = np.full((total, total), np.inf)
-    gram = x @ x.T
-    norms = np.diag(gram)
-    sq[:n, :n] = np.maximum(norms[:, None] + norms[None, :] - 2 * gram, 0.0)
-    sq[np.diag_indices(total)] = np.inf
-    size = np.zeros(total)
-    size[:n] = 1.0
-    alive = np.zeros(total, dtype=bool)
-    alive[:n] = True
-    merges = np.zeros((n - 1, 4))
-    lower = np.tril_indices(total)
-    for step in range(n - 1):
-        masked = np.where(alive[:, None] & alive[None, :], sq, np.inf)
-        masked[lower] = np.inf
-        flat = int(np.argmin(masked))
-        a, b = divmod(flat, total)
-        new = n + step
-        d2 = sq[a, b]
-        merges[step] = (a, b, np.sqrt(d2), size[a] + size[b])
-        others = alive.copy()
-        others[a] = others[b] = False
-        k = np.nonzero(others)[0]
-        upd = (
-            (size[a] + size[k]) * sq[a, k]
-            + (size[b] + size[k]) * sq[b, k]
-            - size[k] * d2
-        ) / (size[a] + size[b] + size[k])
-        sq[new, k] = upd
-        sq[k, new] = upd
-        size[new] = size[a] + size[b]
-        alive[a] = alive[b] = False
-        alive[new] = True
-    return Dendrogram(merges, labels)
+    # imported here: scipy.cluster pulls in scipy.spatial, which only `cluster` needs
+    from scipy.cluster.hierarchy import linkage
+
+    return Dendrogram(linkage(x, method="ward"), labels)

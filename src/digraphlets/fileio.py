@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,12 @@ def parse_signature_csv(text: str) -> SignatureTable:
             )
         labels.append(row[0].strip())
         try:
-            values.append([float(c) for c in row[1:]])
+            cells = [float(c) for c in row[1:]]
         except ValueError as exc:
             raise InputError(f"line {lineno}: non-numeric cell: {exc}") from exc
+        if not all(map(math.isfinite, cells)):
+            raise InputError(f"line {lineno}: non-finite cell")
+        values.append(cells)
     return SignatureTable(tuple(labels), columns, np.array(values))
 
 

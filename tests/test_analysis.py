@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster import hierarchy
+from scipy.stats import rankdata
 
 import digraphlets as dg
+from digraphlets.analysis import _rank_columns
 from digraphlets.errors import InputError
 
 
@@ -159,6 +161,61 @@ def _planted(seed=0, spread=0.05):
     return rows, np.repeat(np.arange(3), 5)
 
 
+def _tied_rows():
+    """Small-integer rows with duplicates, so many Ward distances tie."""
+    base = np.array([[0, 0, 1], [0, 1, 1], [2, 2, 0], [2, 2, 1], [5, 5, 5]], float)
+    return base[[0, 1, 0, 2, 3, 2, 2, 4, 1, 4, 3, 0]]
+
+
+def _ess(rows):
+    return ((rows - rows.mean(axis=0)) ** 2).sum()
+
+
+def _cut_by_label_scan(tree, k):
+    """The former ``Dendrogram.cut``: pointer jumping, then one scan per label."""
+    n = tree.n
+    parent = np.arange(2 * n - 1)
+    for s in range(n - k):
+        a, b = int(tree.merges[s, 0]), int(tree.merges[s, 1])
+        parent[a] = parent[b] = n + s
+    roots = np.arange(n)
+    for _ in range(n):
+        nxt = parent[roots]
+        if (nxt == roots).all():
+            break
+        roots = nxt
+    assignment = np.zeros(n, dtype=np.int64)
+    for rank, root in enumerate(sorted(set(roots.tolist()), key=lambda r: int(np.argmax(roots == r)))):
+        assignment[roots == root] = rank
+    return assignment
+
+
+def test_rank_columns_matches_scipy_rankdata():
+    rng = np.random.default_rng(11)
+    for levels in (1, 2, 3, 5, 40):
+        x = rng.integers(0, levels, size=(37, 6)).astype(float)
+        assert np.array_equal(_rank_columns(x), rankdata(x, axis=0))
+    x[3, 2] = np.nan
+    assert np.array_equal(_rank_columns(x), rankdata(x, axis=0), equal_nan=True)
+
+
+def test_cut_matches_label_scan_on_ties():
+    coarse = np.random.default_rng(12).integers(0, 3, size=(60, 4))
+    for rows in (_tied_rows(), coarse):
+        tree = dg.ward_cluster(_table(rows), standardize=False)
+        for k in range(1, tree.n + 1):
+            got = tree.cut(k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _cut_by_label_scan(tree, k))
+
+
+def test_ward_rejects_non_finite():
+    x = _tied_rows()
+    x[4, 1] = np.inf
+    with pytest.raises(InputError):
+        dg.ward_cluster(_table(x))
+
+
 def test_ward_recovers_planted_clusters():
     rows, truth = _planted()
     tree = dg.ward_cluster(_table(rows), standardize=False)
@@ -200,8 +257,28 @@ def test_ward_matches_scipy_reference():
         theirs = hierarchy.fcluster(z, t=k, criterion="maxclust")
         pairs = {(a, b) for a, b in zip(ours.tolist(), theirs.tolist())}
         assert len(pairs) == k  # bijective relabeling
-    tied = dg.ward_cluster(_table(x), standardize=False)
-    assert np.array_equal(tied.merges, tree.merges)
+
+    tied = _tied_rows()
+    tied_tree = dg.ward_cluster(_table(tied), standardize=False)
+    tied_z = hierarchy.linkage(tied, method="ward")
+    assert len(np.unique(tied_z[:, 2])) < len(tied_z)  # the fixture really has ties
+    assert np.allclose(np.sort(tied_tree.heights), np.sort(tied_z[:, 2]), atol=1e-12)
+    n = len(tied)
+    members = [[i] for i in range(n)]
+    for a, b, h, size in tied_tree.merges:
+        a, b = int(a), int(b)
+        assert a < b < len(members)
+        assert members[a] is not None and members[b] is not None  # merged once
+        merged = members[a] + members[b]
+        assert size == len(merged)
+        # ward.D2: the squared height is twice the rise in within-cluster SS
+        rise = _ess(tied[merged]) - _ess(tied[members[a]]) - _ess(tied[members[b]])
+        assert h * h == pytest.approx(2 * rise, abs=1e-9)
+        members[a] = members[b] = None
+        members.append(merged)
+    assert sorted(members[-1]) == list(range(n))
+    again = dg.ward_cluster(_table(tied.copy()), standardize=False)
+    assert again.newick().encode() == tied_tree.newick().encode()
 
 
 def test_ward_standardize_evens_scales():

@@ -216,6 +216,14 @@ def test_cluster_planted_groups_contiguous(tmp_path):
         assert where == list(range(min(where), max(where) + 1))
 
 
+def test_cluster_rejects_non_finite_cell(tmp_path, capsys):
+    path = tmp_path / "sig.csv"
+    path.write_text("vertex,a,b\n0,1,2\n1,nan,3\n2,4,inf\n")
+    assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "dendrogram.newick").exists()
+
+
 def test_oracle_command(cycle_file, tmp_path):
     out = tmp_path / "o"
     assert main(["oracle", str(cycle_file), "--out", str(out)]) == 0
@@ -255,3 +263,11 @@ def test_module_entry_point(cycle_file, tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "m" / "signature.csv").exists()
+
+
+def test_cli_import_skips_scipy_stats_and_cluster():
+    code = ("import sys, digraphlets.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'cluster'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
