@@ -22,8 +22,21 @@ direction and fixes reciprocal edges):
     L(a, b)    column = A_a @ d^mirror(b) - [a == b] * d^a
 
 Both identities follow by expanding |S_i^a intersect S_j^b| as
-sum_h A_a[i, h] A_b[j, h].  Everything stays in int64; an overflow
-guard rejects graphs where n * dmax^2 approaches 2^62.
+sum_h A_a[i, h] A_b[j, h].  The same expansion shows that the product
+P_ab = A_a @ A_mirror(b), with P_ab[i, j] = |S_i^a intersect S_j^b|,
+is the transpose of P_ba.  Since j in S_i^g exactly when i in
+S_j^mirror(g), the column sums of C = A_g .* P_ab are the T(b, a,
+mirror(g)) column:
+
+    T(a, b, g)         column = row sums of C
+    T(b, a, mirror(g)) column = column sums of C
+
+So only the 6 products with WEDGE_INDEX[(a, b)] <= WEDGE_INDEX[(b, a)]
+are built.  Each is masked once by the 0/1 skeleton A_+ + A_- + A_o,
+which keeps only the entries whose ends are adjacent (at most two per
+connected pair), and that short matrix is split by the three A_g.
+Everything stays in int64; an overflow guard rejects graphs where
+n * dmax^2 approaches 2^62.
 """
 
 from __future__ import annotations
@@ -159,19 +172,24 @@ def raw_census(g: DirectedGraph) -> RawCensus:
     if n * dmax * dmax >= 1 << 62:
         raise InvariantError("counts could overflow 64-bit integers")
     mats = _relation_matrices(g)
+    skeleton = mats["+"] + mats["-"] + mats["o"]
+    ones = np.ones(n, dtype=np.int64)
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
     triangles = np.zeros((n, 27), dtype=np.int64)
     for (alpha, beta), w_col in WEDGE_INDEX.items():
-        a, b = mats[alpha], mats[MIRROR[beta]]
         far_degree = degrees[:, _KIND_COL[MIRROR[beta]]]
-        wedge_totals[:, w_col] = a @ far_degree
+        wedge_totals[:, w_col] = mats[alpha] @ far_degree
         if alpha == beta:
             wedge_totals[:, w_col] -= degrees[:, _KIND_COL[alpha]]
-        paths = a @ b
+        if w_col > WEDGE_INDEX[(beta, alpha)]:
+            continue  # its product is the transpose of the (beta, alpha) one
+        closed = skeleton.multiply(mats[alpha] @ mats[MIRROR[beta]])
         for gamma in EDGE_KINDS:
-            closed = mats[gamma].multiply(paths)
-            t_col = TRIANGLE_INDEX[(alpha, beta, gamma)]
-            triangles[:, t_col] = np.asarray(closed.sum(axis=1)).ravel()
+            split = mats[gamma].multiply(closed)
+            rows = TRIANGLE_INDEX[(alpha, beta, gamma)]
+            cols = TRIANGLE_INDEX[(beta, alpha, MIRROR[gamma])]
+            triangles[:, rows] = split @ ones
+            triangles[:, cols] = ones @ split
     closing = triangles.reshape(n, 9, 3).sum(axis=2)
     wedges = wedge_totals - closing
     if (wedges < 0).any():

@@ -22,20 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantError
-
-EDGE_KINDS = ("+", "-", "o")
+from .taxonomy import EDGE_KINDS
 
 _VERTEX_PREFIX = "# vertex:"
 
 
 def _csr_rows(n: int, rows: np.ndarray, cols: np.ndarray):
     """Pack arcs into CSR indptr/indices with columns sorted per row."""
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
+    order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return indptr, np.ascontiguousarray(cols, dtype=np.int64)
+    return indptr, np.ascontiguousarray(cols[order], dtype=np.int64)
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
@@ -102,7 +99,8 @@ class DirectedGraph:
                 raise InputError("vertex index out of range")
             if (lo >= hi).any():
                 raise InputError("pairs must satisfy lo < hi")
-            if len(np.unique(lo * n + hi)) != len(pairs):
+            keys = np.sort(lo * n + hi)
+            if (keys[1:] == keys[:-1]).any():
                 raise InputError("duplicate pair")
             if codes.min() < 0 or codes.max() > 2:
                 raise InputError("relation codes must be 0, 1 or 2")
@@ -146,9 +144,13 @@ class DirectedGraph:
                 raise InputError("vertex index out of range")
             if (arcs[:, 0] == arcs[:, 1]).any():
                 raise InputError("self-loops are not allowed")
-            keys = np.unique(arcs[:, 0] * n + arcs[:, 1])
-            arcs = np.column_stack([keys // n, keys % n])
-        mutual = np.isin(arcs[:, 0] * n + arcs[:, 1], arcs[:, 1] * n + arcs[:, 0])
+        keys = np.sort(arcs[:, 0] * n + arcs[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        arcs = np.column_stack([keys // n, keys % n])
+        # An arc is mutual when its key is among the reversed keys; both
+        # sides sorted keep the binary searches cache-friendly.
+        reverse = np.sort(arcs[:, 1] * n + arcs[:, 0])
+        mutual = np.take(reverse, np.searchsorted(reverse, keys), mode="clip") == keys
         pure = arcs[~mutual]
         rec = arcs[mutual & (arcs[:, 0] < arcs[:, 1])]
         lo = np.minimum(pure[:, 0], pure[:, 1])

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import InputError, UnprunableError
@@ -179,10 +180,11 @@ def skeleton_summary(graph: DirectedGraph) -> dict:
         graph.out_degrees + graph.in_degrees + graph.recip_degrees
     )
     pairs, _ = graph.connected_pairs()
-    skeleton = np.zeros((graph.n, graph.n), dtype=bool)
-    if len(pairs):
-        skeleton[pairs[:, 0], pairs[:, 1]] = True
-        skeleton |= skeleton.T
+    # one entry per pair: directed=False follows it both ways
+    skeleton = sparse.coo_matrix(
+        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])),
+        shape=(graph.n, graph.n),
+    )
     _, comp = csgraph.connected_components(skeleton, directed=False)
     largest = int(np.bincount(comp).max())
     return {

@@ -175,3 +175,35 @@ def test_signature_columns_order():
         "t_acyclic", "t_cycles", "t_out_plus", "t_cycles_plus",
         "t_in_plus", "t_cycles_2plus", "t_recip",
     )
+
+
+# Holland-Leinhardt MAN code of each non-trivial signature class.
+TRIAD_CODES = {
+    "w_path": "021C", "w_in": "021U", "w_out": "021D",
+    "w_in_plus": "111D", "w_out_plus": "111U", "w_recip": "201",
+    "t_acyclic": "030T", "t_cycles": "030C", "t_out_plus": "120D",
+    "t_in_plus": "120U", "t_cycles_plus": "120C", "t_cycles_2plus": "210",
+    "t_recip": "300",
+}
+
+
+def test_triad_census_identity_above_oracle_cap():
+    # an independent check at a size the O(n^3) oracle refuses: each
+    # wedge is seen from its 2 ends, each triangle from 3 vertices x 2
+    # orderings of the other two
+    nx = pytest.importorskip("networkx")
+    g = dg.random_digraph(2000, 0.01, seed=1)
+    totals = dg.signature_matrix(g).values.sum(axis=0)
+    src, dst = g.arcs()
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(zip(src.tolist(), dst.tolist()))
+    expected = nx.triadic_census(h)
+    got = {}
+    for col, name in enumerate(dg.SIGNATURE_COLUMNS):
+        if name in TRIAD_CODES:
+            per = 2 if name.startswith("w_") else 6
+            assert totals[col] % per == 0, name
+            got[TRIAD_CODES[name]] = int(totals[col]) // per
+    assert got == {code: expected[code] for code in got}
+    assert all(got.values())  # every class is exercised

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import digraphlets as dg
 from digraphlets.errors import InputError
@@ -199,3 +200,41 @@ def test_load_error_names_file(tmp_path):
         dg.load_edge_list(bad)
     with pytest.raises(InputError, match="nope"):
         dg.load_edge_list(tmp_path / "nope.edgelist")
+
+
+@settings(deadline=None, max_examples=60)
+@given(digraphs(max_n=9), st.integers(0, 2**32 - 1))
+def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(g, seed):
+    # g comes from from_pair_relations; rebuild it from its arcs, some
+    # repeated, in random order (mutual pairs appear as two arcs)
+    src, dst = g.arcs()
+    arcs = np.column_stack([src, dst])
+    rng = np.random.default_rng(seed)
+    extra = arcs[rng.integers(0, len(arcs), size=len(arcs))] if len(arcs) else arcs
+    arcs = np.concatenate([arcs, extra])
+    arcs = arcs[rng.permutation(len(arcs))]
+    assert dg.DirectedGraph.from_arcs(arcs, n=g.n) == g
+
+
+def test_from_arcs_empty_list():
+    for arcs in ([], np.empty((0, 2), dtype=np.int64)):
+        g = dg.DirectedGraph.from_arcs(arcs, n=3)
+        assert g == dg.DirectedGraph.from_pair_relations(3, [], [])
+        assert g.num_connected_pairs == 0
+        g.validate()
+
+
+def test_from_pair_relations_validation():
+    build = dg.DirectedGraph.from_pair_relations
+    with pytest.raises(InputError, match="duplicate pair"):
+        build(4, [(0, 1), (1, 2), (2, 3), (0, 1)], [0, 1, 2, 2])
+    with pytest.raises(InputError, match="duplicate pair"):
+        build(3, [(0, 2), (0, 2)], [0, 0])
+    with pytest.raises(InputError, match="lo < hi"):
+        build(3, [(1, 0)], [0])
+    with pytest.raises(InputError, match="out of range"):
+        build(3, [(0, 3)], [0])
+    with pytest.raises(InputError, match="relation codes"):
+        build(3, [(0, 1)], [3])
+    with pytest.raises(InputError, match="length mismatch"):
+        build(3, [(0, 1)], [0, 1])

@@ -41,3 +41,40 @@ def test_oracle_equals_census_seeded_corpus():
     for k in range(30):
         g = seeded_graph(k, lo=3, hi=25)
         assert dg.oracle_census(g) == dg.raw_census(g), f"graph {k}"
+
+
+def _skeleton_graph(n, p, seed, codes_from):
+    """G(n, p) skeleton whose pair relations are drawn from codes_from."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.triu_indices(n, k=1)
+    keep = rng.random(len(lo)) < p
+    pairs = np.column_stack([lo[keep], hi[keep]])
+    codes = rng.choice(codes_from, size=len(pairs))
+    return dg.DirectedGraph.from_pair_relations(n, pairs, codes)
+
+
+def _wheel(spokes):
+    """Hub 0 joined to a rim cycle 1..spokes; spoke and rim relations
+    cycle through the three codes at different strides, so the hub's
+    row sums and the rim's column sums of each product differ."""
+    pairs, codes = [], []
+    for k in range(1, spokes + 1):
+        pairs.append((0, k))
+        codes.append(k % 3)
+        nxt = k % spokes + 1
+        pairs.append((min(k, nxt), max(k, nxt)))
+        codes.append((2 * k // 3) % 3)
+    return dg.DirectedGraph.from_pair_relations(spokes + 1, pairs, codes)
+
+
+@pytest.mark.parametrize("name, g", [
+    ("all reciprocal", _skeleton_graph(14, 0.5, 1, [2])),
+    ("pure arcs only", _skeleton_graph(14, 0.5, 2, [0, 1])),
+    ("forward arcs only", _skeleton_graph(14, 0.5, 3, [0])),
+    ("pure out and reciprocal", _skeleton_graph(14, 0.5, 4, [0, 2])),
+    ("edgeless", dg.DirectedGraph.from_arcs([], n=6)),
+    ("single vertex", dg.DirectedGraph.from_arcs([], n=1)),
+    ("mixed wheel", _wheel(11)),
+])
+def test_census_equals_oracle_with_empty_kinds(name, g):
+    assert dg.oracle_census(g) == dg.raw_census(g), name

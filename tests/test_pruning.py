@@ -169,3 +169,33 @@ def test_load_weighted_csv(tmp_path):
     assert w.n == 2
     with pytest.raises(InputError):
         dg.load_weighted_csv(tmp_path / "missing.csv")
+
+
+def _dense_summary(g):
+    """skeleton_summary from a dense n x n skeleton, as a reference."""
+    skel = np.zeros((g.n, g.n), dtype=bool)
+    src, dst = g.arcs()
+    skel[src, dst] = skel[dst, src] = True
+    return {
+        "largest_component_fraction": _largest_component(skel) / g.n,
+        "min_total_degree": int(skel.sum(axis=1).min()),
+        "degree_floor": 2.0 * math.log(g.n),
+    }
+
+
+def test_skeleton_summary_matches_dense_reference():
+    graphs = []
+    for seed in range(6):  # the instances of the postcondition test
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0.0, 1.0, size=(30, 30))
+        np.fill_diagonal(w, 0.0)
+        graphs.append(dg.prune_weighted(dg.weighted_matrix(w))[0])
+    graphs.append(dg.prune_weighted(_uniform(12))[0])
+    # several components and isolated vertices, which pruned graphs lack
+    graphs.append(dg.random_digraph(60, 0.03, seed=4))
+    graphs.append(dg.DirectedGraph.from_arcs([(0, 1), (2, 3), (3, 2)], n=7))
+    graphs.append(dg.DirectedGraph.from_arcs([], n=5))
+    for g in graphs:
+        assert skeleton_summary(g) == _dense_summary(g)
+    fractions = {skeleton_summary(g)["largest_component_fraction"] for g in graphs}
+    assert min(fractions) < 0.99
