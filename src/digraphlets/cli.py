@@ -146,7 +146,10 @@ def cmd_cohort(args) -> int:
     root = Path(args.input)
     if not root.is_dir():
         raise InputError(f"{root} is not a directory")
-    paths = sorted(p for p in root.iterdir() if p.is_file())
+    # hidden files (".DS_Store" and the like) are not cohort members
+    paths = sorted(
+        p for p in root.iterdir() if p.is_file() and not p.name.startswith(".")
+    )
     if not paths:
         raise InputError(f"no input files in {root}")
     method = "spearman" if args.spearman else "pearson"

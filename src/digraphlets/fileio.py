@@ -45,12 +45,22 @@ def write_json(path, obj) -> None:
 
 
 def table_csv(corner: str, columns, row_labels, values) -> str:
-    """One header row then one row per label, all cells canonical text."""
+    """One header row then one row per label, all cells canonical text.
+
+    Cells read as ``fmt_number`` gives them, formatted a row at a time:
+    integer and boolean tables as plain integers, anything else at 9
+    significant digits with ``-0`` written as ``0``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        rows, cell = values.astype(np.int64).tolist(), str
+    else:
+        values = values.astype(float)
+        rows, cell = np.where(values == 0.0, 0.0, values).tolist(), "{:.9g}".format
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([corner, *columns])
-    for label, row in zip(row_labels, np.asarray(values)):
-        writer.writerow([label, *(fmt_number(v) for v in row)])
+    writer.writerows([label, *map(cell, row)] for label, row in zip(row_labels, rows))
     return out.getvalue()
 
 

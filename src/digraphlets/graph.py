@@ -17,7 +17,9 @@ whitespace or a comma.  A reciprocal edge is written as its two arcs.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .errors import InputError, InvariantError
 from .taxonomy import EDGE_KINDS
 
 _VERTEX_PREFIX = "# vertex:"
+_LATE_DECLARATION = "vertex declarations must precede arcs"
+_BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
 
 
 def _csr_rows(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -249,7 +253,7 @@ class DirectedGraph:
         lo = np.concatenate([lo, rs[keep]])
         hi = np.concatenate([hi, rd[keep]])
         code = np.concatenate([code, np.full(keep.sum(), 2, dtype=np.int64)])
-        order = np.lexsort((hi, lo))
+        order = np.argsort(lo * self.n + hi)  # keys are unique
         return np.column_stack([lo[order], hi[order]]), code[order]
 
     def arcs(self):
@@ -257,7 +261,7 @@ class DirectedGraph:
         both directions, sorted by (src, dst)."""
         src = np.concatenate([_row_ids(self.out_ptr), _row_ids(self.rec_ptr)])
         dst = np.concatenate([self.out_idx, self.rec_idx])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * self.n + dst)  # keys are unique
         return src[order], dst[order]
 
     # -- consistency --------------------------------------------------
@@ -313,75 +317,183 @@ class DirectedGraph:
     # -- serialization ------------------------------------------------
 
     def to_edge_list_text(self) -> str:
-        lines = [f"{_VERTEX_PREFIX} {lab}" for lab in self.labels]
+        """Declarations in index order, then one ``src dst`` line per
+        arc in ascending (src, dst) order."""
+        head = "".join(map(f"{_VERTEX_PREFIX} {{}}\n".format, self.labels))
+        labels = np.array(self.labels, dtype=object)
         src, dst = self.arcs()
-        lines.extend(f"{self.labels[s]} {self.labels[d]}" for s, d in zip(src, dst))
-        return "\n".join(lines) + "\n"
+        cells = np.empty(2 * len(src), dtype=object)
+        cells[0::2] = (labels + " ")[src]
+        cells[1::2] = (labels + "\n")[dst]
+        return head + "".join(cells.tolist())
 
 
 def parse_edge_list(text: str, fmt: str = "auto") -> DirectedGraph:
     """Parse edge-list text into a DirectedGraph.
 
     ``fmt`` selects the arc-line token separator: 'whitespace', 'csv',
-    or 'auto' (per line: comma if present, else whitespace).  Vertex
-    declaration lines fix the label-to-index mapping; without them,
-    vertices are the distinct endpoint labels in order of first
-    appearance.  Self-loops and duplicate arcs are dropped with a
-    warning.  Malformed lines raise InputError with the line number.
+    or 'auto' (per line: comma if present, else whitespace).  A comma
+    line splits on its comma, each field stripped of surrounding
+    whitespace.  Vertex declaration lines fix the label-to-index
+    mapping; without them, vertices are the distinct endpoint labels in
+    order of first appearance.  Self-loops and duplicate arcs are
+    dropped with a warning.  Malformed lines raise InputError with the
+    line number.  ``to_edge_list_text`` writes the declarations
+    followed by the arcs in ascending (src, dst) order.
+
+    The text is read in blocks of ``_BLOCK_LINES`` lines, each split and
+    mapped in bulk; line numbers are worked out only when a check fails.
     """
     if fmt not in ("auto", "whitespace", "csv"):
         raise InputError(f"unknown edge-list format {fmt!r}")
-    declared: dict[str, int] = {}
-    label_of: dict[str, int] = {}
-    arcs: list[tuple[int, int]] = []
-    loops = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith(_VERTEX_PREFIX):
-            lab = line[len(_VERTEX_PREFIX) :].strip()
-            if not lab:
-                raise InputError(f"line {lineno}: empty vertex label")
-            if arcs or label_of:
-                raise InputError(
-                    f"line {lineno}: vertex declarations must precede arcs"
-                )
-            if lab in declared:
-                raise InputError(f"line {lineno}: duplicate vertex label {lab!r}")
-            declared[lab] = len(declared)
-            continue
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if fmt == "csv" or (fmt == "auto" and "," in line):
-            tokens = [t.strip() for t in line.split(",")]
-        else:
-            tokens = line.split()
-        if len(tokens) != 2 or not tokens[0] or not tokens[1]:
-            raise InputError(f"line {lineno}: expected two vertex tokens, got {raw!r}")
-        ends = []
-        for tok in tokens:
-            if declared:
-                if tok not in declared:
-                    raise InputError(f"line {lineno}: undeclared vertex {tok!r}")
-                ends.append(declared[tok])
-            else:
-                ends.append(label_of.setdefault(tok, len(label_of)))
-        if ends[0] == ends[1]:
-            loops += 1
-            continue
-        arcs.append((ends[0], ends[1]))
+    lines = text.splitlines()
+    reader = _EdgeListReader(fmt)
+    for start in range(0, len(lines), _BLOCK_LINES):
+        reader.read_block(lines[start : start + _BLOCK_LINES], start + 1)
+    del lines  # the graph build below needs none of the line strings
+    ends = np.concatenate([np.empty(0, np.int64), *reader.ends])
+    src, dst = ends[0::2], ends[1::2]
+    loop = src == dst
+    loops = int(np.count_nonzero(loop))
     if loops:
         warnings.warn(f"dropped {loops} self-loop(s)", stacklevel=2)
-    dupes = len(arcs) - len(set(arcs))
+    names = reader.declared or reader.label_of
+    n = len(names)
+    src, dst = src[~loop], dst[~loop]
+    keys = np.sort(src * n + dst)
+    dupes = int(np.count_nonzero(keys[1:] == keys[:-1]))
     if dupes:
         warnings.warn(f"collapsed {dupes} duplicate arc(s)", stacklevel=2)
-    names = declared or label_of
     if not names:
         raise InputError("edge list declares no vertices and no arcs")
-    labels = tuple(names)
     return DirectedGraph.from_arcs(
-        np.array(arcs, dtype=np.int64).reshape(-1, 2), n=len(labels), labels=labels
+        np.column_stack([src, dst]), n=n, labels=tuple(names)
     )
+
+
+def _arc_tokens(body: list[str], fmt: str):
+    """Split arc lines (comments and surrounding whitespace removed).
+
+    Returns the index in ``body`` of the first line that does not hold
+    exactly two tokens (``len(body)`` if every line does) and the flat
+    token list of the lines before it.
+    """
+    m = len(body)
+    joined = "\n".join(body)
+    if fmt == "auto" and "," in joined:
+        comma = np.fromiter(map(str.__contains__, body, repeat(",")), bool, m)
+    else:
+        comma = np.full(m, fmt == "csv")
+    plain, commas = body, []
+    if comma.any():
+        plain = list(compress(body, (~comma).tolist()))
+        commas = list(compress(body, comma.tolist()))
+        joined = "\n".join(plain)
+    ntok = np.empty(m, dtype=np.int64)
+    ntok[~comma] = np.fromiter(map(len, map(str.split, plain)), np.int64, len(plain))
+    ntok[comma] = np.fromiter(map(str.count, commas, repeat(",")), np.int64, len(commas)) + 1
+    bad = np.flatnonzero(ntok != 2)
+    cut = int(bad[0]) if len(bad) else m
+    k = int(np.count_nonzero(comma[:cut]))  # comma lines before the cut
+    fields = list(map(str.strip, ",".join(commas[:k]).split(","))) if k else []
+    if "" in fields:
+        k = fields.index("") // 2
+        cut = int(np.flatnonzero(comma)[k])
+        fields = fields[: 2 * k]
+    words = joined.split()[: 2 * (cut - k)]
+    if not k:
+        return cut, words
+    tokens = np.empty((cut, 2), dtype=object)
+    tokens[~comma[:cut]] = np.array(words, dtype=object).reshape(-1, 2)
+    tokens[comma[:cut]] = np.array(fields, dtype=object).reshape(-1, 2)
+    return cut, tokens.ravel().tolist()
+
+
+class _EdgeListReader:
+    """Parser state carried from one block of edge-list lines to the next."""
+
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+        self.declared: dict[str, int] = {}
+        self.label_of: dict[str, int] = {}  # first-appearance ids, no declarations
+        self.ends: list[np.ndarray] = []  # per block: src, dst, src, dst, ...
+        self.arc_read = False  # a non-loop arc between declared vertices
+
+    def read_block(self, lines: list[str], first: int) -> None:
+        """Parse ``lines``, the first of which is line ``first``.
+
+        Raises the InputError of the earliest failing line, with the
+        message a line-by-line reading would give.
+        """
+        content = [line.partition("#")[0].strip() for line in lines]
+        has = np.fromiter(map(bool, content), bool, len(content))
+        at = np.flatnonzero(has)
+        decl_at = [
+            i
+            for i in np.flatnonzero(~has).tolist()
+            if lines[i].lstrip().startswith(_VERTEX_PREFIX)
+        ]
+        labels = [lines[i].strip()[len(_VERTEX_PREFIX) :].strip() for i in decl_at]
+        cut, tokens = _arc_tokens(list(compress(content, has.tolist())), self.fmt)
+        # (block line index, rank on that line, message); the least is raised
+        errors = []
+        if cut < len(at):
+            i = int(at[cut])
+            errors.append((i, 0, f"expected two vertex tokens, got {lines[i]!r}"))
+        first_arc = int(at[0]) if len(at) else len(lines)
+        at = at[:cut]
+        if "" in labels:
+            errors.append((decl_at[labels.index("")], 0, "empty vertex label"))
+        if not self.declared and (
+            not decl_at or first_arc < decl_at[0] or self.label_of
+        ):
+            # No declarations: the first one after an arc line fails.
+            if decl_at:
+                errors.append((decl_at[0], 1, _LATE_DECLARATION))
+            self._raise_first(errors, first)
+            fresh = [t for t in dict.fromkeys(tokens) if t not in self.label_of]
+            self.label_of.update(zip(fresh, count(len(self.label_of))))
+            ends = np.fromiter(map(self.label_of.__getitem__, tokens), np.int64, len(tokens))
+        else:
+            ends = self._declared_ends(at, decl_at, labels, tokens, errors)
+            self._raise_first(errors, first)
+        self.ends.append(ends)
+
+    def _declared_ends(self, at, decl_at, labels, tokens, errors):
+        n0 = len(self.declared)
+        kept = len(labels)  # declarations before the first duplicate
+        if len(set(labels)) < kept or not self.declared.keys().isdisjoint(labels):
+            seen = set(self.declared)
+            for kept, lab in enumerate(labels):
+                if lab in seen:
+                    errors.append((decl_at[kept], 2, f"duplicate vertex label {lab!r}"))
+                    break
+                seen.add(lab)
+        self.declared.update(zip(labels[:kept], count(n0)))
+        ends = np.fromiter(map(self.declared.get, tokens, repeat(-1)), np.int64, len(tokens))
+        unknown = ends < 0
+        if decl_at:
+            # A label declared in this block is known from its line on.
+            new = ends >= n0
+            unknown[new] = np.asarray(decl_at)[ends[new] - n0] > np.repeat(at, 2)[new]
+        bad = np.flatnonzero(unknown)
+        if len(bad):
+            k = int(bad[0])
+            errors.append((int(at[k // 2]), 0, f"undeclared vertex {tokens[k]!r}"))
+        # Declarations close at the first arc that is not a self-loop.
+        moves = [] if self.arc_read else np.flatnonzero(ends[0::2] != ends[1::2])
+        if self.arc_read or len(moves):
+            j = bisect_right(decl_at, int(at[moves[0]]) if len(moves) else -1)
+            if j < len(decl_at):
+                errors.append((decl_at[j], 1, _LATE_DECLARATION))
+            self.arc_read = True
+        return ends
+
+    @staticmethod
+    def _raise_first(errors, first: int) -> None:
+        if errors:
+            i, _, message = min(errors)
+            raise InputError(f"line {first + i}: {message}")
 
 
 def load_edge_list(path, fmt: str = "auto") -> DirectedGraph:

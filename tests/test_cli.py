@@ -135,6 +135,19 @@ def test_cohort_bad_member_is_named(tmp_path, capsys):
     assert "broken.edgelist" in capsys.readouterr().err
 
 
+def test_cohort_skips_hidden_files(tmp_path):
+    d = _make_cohort(tmp_path, copies=3)
+    plain, hidden = tmp_path / "plain", tmp_path / "hidden"
+    assert main(["cohort", str(d), "--out", str(plain)]) == 0
+    (d / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1\x00")
+    assert main(["cohort", str(d), "--out", str(hidden)]) == 0
+    for name in ("cohort_pos.csv", "cohort_neg.csv", "cohort_heatmap.svg",
+                 "cohort_meta.json"):
+        assert (plain / name).read_bytes() == (hidden / name).read_bytes()
+    meta = json.loads((hidden / "cohort_meta.json").read_text())
+    assert meta["files"] == ["s00.edgelist", "s01.edgelist", "s02.edgelist"]
+
+
 def test_cohort_env_validation(tmp_path, monkeypatch):
     d = _make_cohort(tmp_path, copies=2)
     monkeypatch.setenv("DIGRAPHLETS_WORKERS", "zero")

@@ -1,0 +1,41 @@
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from digraphlets.fileio import fmt_number, table_csv
+
+
+def reference_table_csv(corner, columns, row_labels, values):
+    """Cell-by-cell ``fmt_number`` rendering, the reference for the
+    row-wise ``table_csv``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([corner, *columns])
+    for label, row in zip(row_labels, np.asarray(values)):
+        writer.writerow([label, *(fmt_number(v) for v in row)])
+    return out.getvalue()
+
+
+def _tables():
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-12, 12, (6, 4))
+    floats[0, :] = [-0.0, 0.0, np.nan, -np.inf]
+    floats[1, :] = [np.inf, 1e-320, 123456789.5, 0.1 + 0.2]
+    return [
+        rng.integers(-(10**12), 10**12, (6, 4)),
+        rng.integers(0, 255, (6, 4)).astype(np.uint8),
+        rng.integers(-1, 2, (6, 4)) > 0,
+        floats,
+        floats.astype(np.float32),
+        np.zeros((0, 4)),
+    ]
+
+
+@pytest.mark.parametrize("values", _tables(), ids=lambda v: str(v.dtype))
+def test_table_csv_matches_cell_by_cell_reference(values):
+    labels = ["v0", 'q"uote', "with,comma", "x", "y", "z"][: len(values)]
+    columns = ["c0", "c1", "c,2", "c3"]
+    got = table_csv("vertex", columns, labels, values)
+    assert got == reference_table_csv("vertex", columns, labels, values)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,102 @@ from hypothesis import strategies as st
 
 import digraphlets as dg
 from digraphlets.errors import InputError
+from digraphlets.graph import _BLOCK_LINES
 
 from conftest import digraphs
+
+_VERTEX_PREFIX = "# vertex:"
+
+
+def reference_parse(text: str, fmt: str = "auto") -> dg.DirectedGraph:
+    """Line-by-line edge-list parser: the reference that the block-wise
+    ``parse_edge_list`` must match in graphs, warnings and errors."""
+    if fmt not in ("auto", "whitespace", "csv"):
+        raise InputError(f"unknown edge-list format {fmt!r}")
+    declared: dict[str, int] = {}
+    label_of: dict[str, int] = {}
+    arcs: list[tuple[int, int]] = []
+    loops = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith(_VERTEX_PREFIX):
+            lab = line[len(_VERTEX_PREFIX) :].strip()
+            if not lab:
+                raise InputError(f"line {lineno}: empty vertex label")
+            if arcs or label_of:
+                raise InputError(
+                    f"line {lineno}: vertex declarations must precede arcs"
+                )
+            if lab in declared:
+                raise InputError(f"line {lineno}: duplicate vertex label {lab!r}")
+            declared[lab] = len(declared)
+            continue
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if fmt == "csv" or (fmt == "auto" and "," in line):
+            tokens = [t.strip() for t in line.split(",")]
+        else:
+            tokens = line.split()
+        if len(tokens) != 2 or not tokens[0] or not tokens[1]:
+            raise InputError(f"line {lineno}: expected two vertex tokens, got {raw!r}")
+        ends = []
+        for tok in tokens:
+            if declared:
+                if tok not in declared:
+                    raise InputError(f"line {lineno}: undeclared vertex {tok!r}")
+                ends.append(declared[tok])
+            else:
+                ends.append(label_of.setdefault(tok, len(label_of)))
+        if ends[0] == ends[1]:
+            loops += 1
+            continue
+        arcs.append((ends[0], ends[1]))
+    if loops:
+        warnings.warn(f"dropped {loops} self-loop(s)", stacklevel=2)
+    dupes = len(arcs) - len(set(arcs))
+    if dupes:
+        warnings.warn(f"collapsed {dupes} duplicate arc(s)", stacklevel=2)
+    names = declared or label_of
+    if not names:
+        raise InputError("edge list declares no vertices and no arcs")
+    labels = tuple(names)
+    return dg.DirectedGraph.from_arcs(
+        np.array(arcs, dtype=np.int64).reshape(-1, 2), n=len(labels), labels=labels
+    )
+
+
+def reference_text(g: dg.DirectedGraph) -> str:
+    """Line-by-line edge-list writer with a two-key sort, the reference
+    for ``to_edge_list_text``."""
+    lines = [f"{_VERTEX_PREFIX} {lab}" for lab in g.labels]
+    src = np.concatenate([np.repeat(np.arange(g.n), np.diff(p)) for p in (g.out_ptr, g.rec_ptr)])
+    dst = np.concatenate([g.out_idx, g.rec_idx])
+    order = np.lexsort((dst, src))
+    lines.extend(f"{g.labels[s]} {g.labels[d]}" for s, d in zip(src[order], dst[order]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text, fmt="auto"):
+    """(graph or error message, warning messages) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, fmt)
+        except InputError as exc:
+            result = f"InputError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def assert_parses_like_reference(text, fmt="auto"):
+    got = parse_outcome(dg.parse_edge_list, text, fmt)
+    want = parse_outcome(reference_parse, text, fmt)
+    if isinstance(want[0], str):
+        assert got[0] == want[0]
+    else:
+        assert isinstance(got[0], dg.DirectedGraph) and got[0] == want[0]
+    assert got[1] == want[1]
+    return got[0]
 
 
 def test_single_arc():
@@ -238,3 +334,137 @@ def test_from_pair_relations_validation():
         build(3, [(0, 1)], [3])
     with pytest.raises(InputError, match="length mismatch"):
         build(3, [(0, 1)], [0, 1])
+
+
+_LABEL = st.sampled_from(["a", "b", "c", "d"])
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_DECLARATION = st.builds(
+    "{0}# vertex:{1}{2}{0}".format,
+    _PAD,
+    st.sampled_from(["", " ", "  "]),
+    st.sampled_from(["a", "b", "c", "d", "e", "", "a b", "x,y", "f # g"]),
+)
+_COMMENT = st.sampled_from(["# note", "#", "  # vertex", "#vertex: a", "# vertex a", "##"])
+_BLANK = st.sampled_from(["", "   ", "\t"])
+_TAIL = st.sampled_from(["", " # tail", "#x", "\t#"])
+_WHITESPACE_ARC = st.builds(
+    "{0}{1}{2}{3}{0}{4}".format, _PAD, _LABEL, st.sampled_from([" ", "\t", "  "]), _LABEL, _TAIL
+)
+_COMMA_ARC = st.builds("{0}{1}{2},{3}{4}{5}".format, _PAD, _LABEL, _PAD, _PAD, _LABEL, _TAIL)
+_MALFORMED = st.sampled_from(
+    ["a", "a b c", "a,b,c", "a,", ",b", " , ", "a b, c", "a,b c", "a, b c", "a,,b", "x,y z", "a b,a b"]
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text mixing declarations (often a leading run of them),
+    comments, blank lines, whitespace and comma arcs with padding,
+    self-loops, duplicates and, in about half the texts, malformed lines."""
+    lines = []
+    if draw(st.booleans()):
+        order = draw(st.permutations(["a", "b", "c", "d"]))
+        lines += [f"# vertex: {lab}" for lab in order[: draw(st.integers(0, 4))]]
+    kinds = [_DECLARATION, _COMMENT, _BLANK, _WHITESPACE_ARC, _WHITESPACE_ARC, _COMMA_ARC]
+    if draw(st.booleans()):
+        kinds.append(_MALFORMED)
+    lines += draw(st.lists(st.one_of(kinds), max_size=14))
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(edge_list_texts(), st.sampled_from(["auto", "whitespace", "csv"]))
+def test_parser_matches_line_by_line_reference(text, fmt):
+    assert_parses_like_reference(text, fmt)
+
+
+@pytest.mark.parametrize("text", [
+    # a late declaration is accepted while every arc so far is a self-loop
+    "# vertex: a\na a\n# vertex: b\na b\n",
+    "# vertex: a\na a\n# vertex: b\nb a\n# vertex: c\n",
+    # ...but not once the file has indexed a vertex by first appearance
+    "a a\n# vertex: b\n",
+    "# note\n\n# vertex: a\n# vertex: b\nb b\na b\n",
+    # a label used before its declaration line is undeclared there
+    "# vertex: a\na a\nb b\n# vertex: b\n",
+    # one line, several faults: the first in reading order wins
+    "# vertex:\n# vertex: a\n",
+    "a b\n# vertex:\n",
+    "# vertex: a\n# vertex: b\na b\n# vertex: a\n",
+    "# vertex: a\n# vertex: a\n",
+    "# vertex: a\nb a\n",
+    # labels the graph rejects only once every line is read
+    "a b, c\nd e\n",
+    "# vertex: a b\n# vertex: c\na b, c\n",
+    "# vertex: f # g\n",
+    "a b\nb a\na b\na a\nb b\n",
+    "a , b\n b ,a # x\n",
+    "",
+    "# only a comment\n",
+])
+@pytest.mark.parametrize("fmt", ["auto", "whitespace", "csv"])
+def test_parser_matches_reference_on_corner_cases(text, fmt):
+    assert_parses_like_reference(text, fmt)
+
+
+def _long_text(head, body_line, tail):
+    """``head`` lines, ``body_line`` repeated past the first block, the
+    ``tail`` lines and one more ``body_line``; returns the text and the
+    line number of tail[0]."""
+    lines = head + [body_line] * (_BLOCK_LINES + 2) + tail + [body_line]
+    assert len(lines) >= _BLOCK_LINES + 3
+    return "\n".join(lines) + "\n", len(head) + _BLOCK_LINES + 3
+
+
+@pytest.mark.parametrize("head, body_line, tail, message", [
+    ([], "u v", ["x y z"], "expected two vertex tokens, got 'x y z'"),
+    (["# vertex: a", "# vertex: b"], "a b", ["a c"], "undeclared vertex 'c'"),
+    (["# vertex: a", "# vertex: b"], "a b", ["# vertex: c"],
+     "vertex declarations must precede arcs"),
+])
+def test_errors_past_the_first_block_report_absolute_lines(head, body_line, tail, message):
+    text, lineno = _long_text(head, body_line, tail)
+    with pytest.raises(InputError, match=f"^line {lineno}: {message}$"):
+        dg.parse_edge_list(text)
+    assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("head, body_line", [
+    (["# vertex: a", "# vertex: b"], "a b"),
+    ([], "a b"),
+])
+def test_declaration_opening_the_second_block_is_late(head, body_line):
+    lines = head + [body_line] * (_BLOCK_LINES - len(head)) + ["# vertex: c", "a b"]
+    text = "\n".join(lines) + "\n"
+    message = f"^line {_BLOCK_LINES + 1}: vertex declarations must precede arcs$"
+    with pytest.raises(InputError, match=message):
+        dg.parse_edge_list(text)
+    assert_parses_like_reference(text)
+
+
+def test_state_carries_across_blocks():
+    # self-loops fill the first block, so a declaration in the second is
+    # still accepted; duplicates span the boundary
+    text, _ = _long_text(
+        ["# vertex: a", "# vertex: b"], "a a", ["# vertex: c", "a c", "b a", "a c"]
+    )
+    g = assert_parses_like_reference(text)
+    assert g.labels == ("a", "b", "c")
+    text, _ = _long_text([], "p q", ["q p", "p q", "r p"])
+    g = assert_parses_like_reference(text)
+    assert g.labels == ("p", "q", "r") and g.num_recip_pairs == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(digraphs(max_n=9), st.randoms(use_true_random=False))
+def test_writer_and_sorts_match_references(g, rnd):
+    labels = [f"v{i}" for i in range(g.n)]
+    rnd.shuffle(labels)
+    g = dg.DirectedGraph.from_pair_relations(g.n, *g.connected_pairs(), labels=labels)
+    assert g.to_edge_list_text() == reference_text(g)
+    src, dst = g.arcs()
+    order = np.lexsort((dst, src))
+    assert np.array_equal(src, src[order]) and np.array_equal(dst, dst[order])
+    pairs, _ = g.connected_pairs()
+    assert np.array_equal(pairs, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
