@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,16 @@ def cmd_cohort(args) -> int:
     if workers == 1:
         matrices = [_subject_gcm(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            matrices = list(pool.map(_subject_gcm, tasks))
+        matrices = []
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for matrix in pool.map(_subject_gcm, tasks):
+                    matrices.append(matrix)
+        except BrokenProcessPool as exc:
+            raise InvariantError(
+                "a cohort worker process died while the result for "
+                f"{paths[len(matrices)]} was collected ({workers} workers)"
+            ) from exc
     stats = cohort_stats(matrices, args.theta)
     out = _outdir(args)
     _write_table(out / "cohort_pos.csv", "class", stats.columns,

@@ -32,6 +32,15 @@ def round9(x) -> float:
     return float(fmt_number(x))
 
 
+def read_text(path) -> str:
+    """Whole UTF-8 file; unreadable or non-UTF-8 files raise InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def write_text(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -110,9 +119,4 @@ def parse_signature_csv(text: str) -> SignatureTable:
 
 
 def read_signature_csv(path) -> SignatureTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_signature_csv(text)
+    return parse_signature_csv(read_text(path))

@@ -3,9 +3,11 @@
 A pair of mutual arcs i->j and j->i is collapsed into one reciprocal
 edge, so every connected vertex pair sits in exactly one of three
 relations: pure out, pure in, or reciprocal.  Self-loops are not
-representable.  Neighbor indices are stored per relation in CSR layout
-(indptr plus column indices sorted within each row), which downstream
-counting code can hand to sparse matrix constructors without copying.
+representable.  Only the out and reciprocal relations are stored, each
+in CSR layout (indptr plus column indices sorted within each row), which
+downstream counting code can hand to sparse matrix constructors without
+copying; the in relation is the transpose of the out one and is derived
+where it is read.
 
 The edge-list text format is line oriented.  Lines of the form
 ``# vertex: LABEL`` declare vertices in index order (this is how
@@ -24,19 +26,19 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .taxonomy import EDGE_KINDS
+from .fileio import read_text, write_text
 
 _VERTEX_PREFIX = "# vertex:"
 _LATE_DECLARATION = "vertex declarations must precede arcs"
 _BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
 
 
-def _csr_rows(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Pack arcs into CSR indptr/indices with columns sorted per row."""
-    order = np.argsort(rows * n + cols)
+def _csr(n: int, keys: np.ndarray):
+    """CSR indptr/indices of sorted, distinct arc keys ``src * n + dst``."""
+    rows, cols = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return indptr, np.ascontiguousarray(cols[order], dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
@@ -49,9 +51,11 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
         raise InputError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
         raise InputError("vertex labels must be unique")
-    for lab in labels:
-        if not lab or any(c.isspace() for c in lab) or "," in lab or "#" in lab:
-            raise InputError(f"invalid vertex label {lab!r}")
+    # One split gives the labels back iff none is empty or holds whitespace.
+    joined = "\n".join(labels)
+    if joined.split() != list(labels) or "," in joined or "#" in joined:
+        bad = next(x for x in labels if x.split() != [x] or "," in x or "#" in x)
+        raise InputError(f"invalid vertex label {bad!r}")
     return labels
 
 
@@ -59,19 +63,19 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
 class DirectedGraph:
     """Vertex-labelled digraph split into out / in / reciprocal adjacency.
 
-    Fields hold CSR components per relation: ``out_idx[out_ptr[i]:
-    out_ptr[i+1]]`` are the pure out-neighbors of vertex ``i``, sorted
-    ascending, and likewise for ``in_*`` and ``rec_*``.  Instances are
-    built through the ``from_*`` constructors, which keep the three
-    relations mutually consistent and disjoint.
+    Only the out and reciprocal relations are stored, as CSR components:
+    ``out_idx[out_ptr[i]:out_ptr[i+1]]`` are the pure out-neighbors of
+    vertex ``i``, sorted ascending, and likewise for ``rec_*``.  The in
+    relation is the transpose of the out one; ``kind_arrays('-')`` and
+    ``in_degrees`` derive it on each call.  Instances are built through
+    the ``from_*`` constructors, which keep the relations disjoint and
+    the reciprocal one symmetric.
     """
 
     n: int
     labels: tuple[str, ...]
     out_ptr: np.ndarray
     out_idx: np.ndarray
-    in_ptr: np.ndarray
-    in_idx: np.ndarray
     rec_ptr: np.ndarray
     rec_idx: np.ndarray
 
@@ -97,32 +101,22 @@ class DirectedGraph:
             raise InputError("pairs and codes length mismatch")
         if n <= 0:
             raise InputError("graph needs at least one vertex")
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        up, down = lo * n + hi, hi * n + lo
         if len(pairs):
-            lo, hi = pairs[:, 0], pairs[:, 1]
             if lo.min() < 0 or hi.max() >= n:
                 raise InputError("vertex index out of range")
             if (lo >= hi).any():
                 raise InputError("pairs must satisfy lo < hi")
-            keys = np.sort(lo * n + hi)
+            keys = np.sort(up)
             if (keys[1:] == keys[:-1]).any():
                 raise InputError("duplicate pair")
             if codes.min() < 0 or codes.max() > 2:
                 raise InputError("relation codes must be 0, 1 or 2")
-        fwd = pairs[codes == 0]
-        bwd = pairs[codes == 1]
-        rec = pairs[codes == 2]
-        src = np.concatenate([fwd[:, 0], bwd[:, 1]])
-        dst = np.concatenate([fwd[:, 1], bwd[:, 0]])
-        rsrc = np.concatenate([rec[:, 0], rec[:, 1]])
-        rdst = np.concatenate([rec[:, 1], rec[:, 0]])
-        out_ptr, out_idx = _csr_rows(n, src, dst)
-        in_ptr, in_idx = _csr_rows(n, dst, src)
-        rec_ptr, rec_idx = _csr_rows(n, rsrc, rdst)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = _check_labels(labels, n)
-        return cls(n, labels, out_ptr, out_idx, in_ptr, in_idx, rec_ptr, rec_idx)
+        rec = codes == 2
+        out_keys = np.where(codes == 0, up, down)[~rec]
+        rec_keys = np.concatenate([up[rec], down[rec]])
+        return cls._from_keys(n, np.sort(out_keys), np.sort(rec_keys), labels)
 
     @classmethod
     def from_arcs(cls, arcs, n=None, labels=None) -> "DirectedGraph":
@@ -150,20 +144,22 @@ class DirectedGraph:
                 raise InputError("self-loops are not allowed")
         keys = np.sort(arcs[:, 0] * n + arcs[:, 1])
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        arcs = np.column_stack([keys // n, keys % n])
         # An arc is mutual when its key is among the reversed keys; both
         # sides sorted keep the binary searches cache-friendly.
-        reverse = np.sort(arcs[:, 1] * n + arcs[:, 0])
+        src, dst = np.divmod(keys, n)
+        reverse = np.sort(dst * n + src)
         mutual = np.take(reverse, np.searchsorted(reverse, keys), mode="clip") == keys
-        pure = arcs[~mutual]
-        rec = arcs[mutual & (arcs[:, 0] < arcs[:, 1])]
-        lo = np.minimum(pure[:, 0], pure[:, 1])
-        hi = np.maximum(pure[:, 0], pure[:, 1])
-        pairs = np.concatenate([np.column_stack([lo, hi]), rec])
-        codes = np.concatenate(
-            [np.where(pure[:, 0] < pure[:, 1], 0, 1), np.full(len(rec), 2)]
-        )
-        return cls.from_pair_relations(n, pairs, codes, labels=labels)
+        return cls._from_keys(n, keys[~mutual], keys[mutual], labels)
+
+    @classmethod
+    def _from_keys(cls, n, out_keys, rec_keys, labels) -> "DirectedGraph":
+        """Pack sorted, distinct arc keys ``src * n + dst`` of the pure
+        and the (symmetric) reciprocal relation."""
+        if labels is None:
+            labels = tuple(str(i) for i in range(n))
+        else:
+            labels = _check_labels(labels, n)
+        return cls(n, labels, *_csr(n, out_keys), *_csr(n, rec_keys))
 
     @classmethod
     def from_adjacency(cls, a, labels=None) -> "DirectedGraph":
@@ -191,7 +187,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_ptr)
+        return np.bincount(self.out_idx, minlength=self.n)
 
     @property
     def recip_degrees(self) -> np.ndarray:
@@ -210,11 +206,12 @@ class DirectedGraph:
         return self.num_pure_arcs + self.num_recip_pairs
 
     def kind_arrays(self, kind: str):
-        """CSR (indptr, indices) for one relation: '+', '-' or 'o'."""
+        """CSR (indptr, indices) for one relation: '+', '-' or 'o'; '-' is
+        the transpose of '+', rebuilt by one sort on each call."""
         if kind == "+":
             return self.out_ptr, self.out_idx
         if kind == "-":
-            return self.in_ptr, self.in_idx
+            return _csr(self.n, np.sort(self.out_idx * self.n + _row_ids(self.out_ptr)))
         if kind == "o":
             return self.rec_ptr, self.rec_idx
         raise InputError(f"unknown edge kind {kind!r}")
@@ -227,10 +224,13 @@ class DirectedGraph:
         """Relation of j seen from i: 'out', 'in', 'recip' or 'none'."""
         if i == j:
             raise InputError("pair_relation needs two distinct vertices")
-        for kind, name in (("+", "out"), ("-", "in"), ("o", "recip")):
-            row = self.neighbors(i, kind)
-            k = np.searchsorted(row, j)
-            if k < len(row) and row[k] == j:
+        # j is an in-neighbor of i when i is an out-neighbor of j
+        for name, kind, a, b in (
+            ("out", "+", i, j), ("in", "+", j, i), ("recip", "o", i, j)
+        ):
+            row = self.neighbors(a, kind)
+            k = np.searchsorted(row, b)
+            if k < len(row) and row[k] == b:
                 return name
         return "none"
 
@@ -267,8 +267,10 @@ class DirectedGraph:
     # -- consistency --------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural invariants, raising InvariantError on failure."""
-        for kind in EDGE_KINDS:
+        """Check structural invariants of the stored out and reciprocal
+        relations, raising InvariantError on failure."""
+        keys = {}
+        for kind in ("+", "o"):
             ptr, idx = self.kind_arrays(kind)
             if len(ptr) != self.n + 1 or ptr[0] != 0 or ptr[-1] != len(idx):
                 raise InvariantError(f"bad indptr for kind {kind!r}")
@@ -282,17 +284,12 @@ class DirectedGraph:
             same_row = rows[1:] == rows[:-1]
             if (np.diff(idx)[same_row] <= 0).any():
                 raise InvariantError(f"row not strictly sorted for kind {kind!r}")
-        n = self.n
-        out_keys = _row_ids(self.out_ptr) * n + self.out_idx
-        in_keys = self.in_idx * n + _row_ids(self.in_ptr)
-        if not np.array_equal(np.sort(out_keys), np.sort(in_keys)):
-            raise InvariantError("out and in adjacency disagree")
-        rec_keys = _row_ids(self.rec_ptr) * n + self.rec_idx
-        rev_keys = self.rec_idx * n + _row_ids(self.rec_ptr)
-        if not np.array_equal(np.sort(rec_keys), np.sort(rev_keys)):
+            keys[kind] = rows * self.n + idx
+        rev_keys = self.rec_idx * self.n + _row_ids(self.rec_ptr)
+        if not np.array_equal(keys["o"], np.sort(rev_keys)):
             raise InvariantError("reciprocal adjacency not symmetric")
-        both = np.concatenate([out_keys, rec_keys])
-        if len(np.unique(both)) != len(both):
+        both = np.sort(np.concatenate([keys["+"], keys["o"]]))
+        if (both[1:] == both[:-1]).any():
             raise InvariantError("pure and reciprocal relations overlap")
 
     def __eq__(self, other) -> bool:
@@ -306,8 +303,6 @@ class DirectedGraph:
                 for pair in (
                     (self.out_ptr, other.out_ptr),
                     (self.out_idx, other.out_idx),
-                    (self.in_ptr, other.in_ptr),
-                    (self.in_idx, other.in_idx),
                     (self.rec_ptr, other.rec_ptr),
                     (self.rec_idx, other.rec_idx),
                 )
@@ -498,11 +493,7 @@ class _EdgeListReader:
 
 def load_edge_list(path, fmt: str = "auto") -> DirectedGraph:
     """Read an edge-list file; IO and parse problems name the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     try:
         return parse_edge_list(text, fmt=fmt)
     except InputError as exc:
@@ -510,11 +501,7 @@ def load_edge_list(path, fmt: str = "auto") -> DirectedGraph:
 
 
 def save_edge_list(graph: DirectedGraph, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_edge_list_text())
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    write_text(path, graph.to_edge_list_text())
 
 
 def randomize_directions(graph: DirectedGraph, seed=None) -> DirectedGraph:

@@ -28,6 +28,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import InputError, UnprunableError
+from .fileio import read_text
 from .graph import DirectedGraph
 
 
@@ -116,12 +117,7 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
 
 
 def load_weighted_csv(path) -> WeightedMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_weighted_csv(text)
+    return parse_weighted_csv(read_text(path))
 
 
 def _feasible(strength: np.ndarray, t: float, connectivity: float,

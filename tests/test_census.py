@@ -162,7 +162,6 @@ def test_overflow_guard_trips():
         3, ("a", "b", "c"),
         ptr, np.empty(0, dtype=np.int64),
         zero, np.empty(0, dtype=np.int64),
-        zero, np.empty(0, dtype=np.int64),
     )
     with pytest.raises(InvariantError):
         dg.raw_census(g)

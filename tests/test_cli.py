@@ -2,12 +2,16 @@ import csv
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import digraphlets as dg
+from digraphlets import cli
 from digraphlets.cli import main
+
+NOT_UTF8 = b"a b\n\xff\xfe c\n"
 
 
 @pytest.fixture
@@ -148,6 +152,46 @@ def test_cohort_skips_hidden_files(tmp_path):
     assert meta["files"] == ["s00.edgelist", "s01.edgelist", "s02.edgelist"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cohort_non_utf8_member_exits_2(tmp_path, monkeypatch, capsys, workers):
+    d = _make_cohort(tmp_path, copies=3)
+    (d / "s01b.edgelist").write_bytes(NOT_UTF8)
+    monkeypatch.setenv("DIGRAPHLETS_WORKERS", workers)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "s01b.edgelist" in err and "utf-8" in err
+    assert not (tmp_path / "x").exists()
+
+
+class _CrashingPool:
+    """Stands in for ProcessPoolExecutor: the first result arrives, then
+    the pool breaks as it does when a worker process dies."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        yield fn(next(iter(tasks)))
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def test_cohort_crashed_worker_exits_3(tmp_path, monkeypatch, capsys):
+    d = _make_cohort(tmp_path, copies=3)
+    monkeypatch.setenv("DIGRAPHLETS_WORKERS", "2")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CrashingPool)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "Traceback" not in err
+    assert "s01.edgelist" in err and "2 workers" in err
+    assert "s00.edgelist" not in err and "s02.edgelist" not in err
+
+
 def test_cohort_env_validation(tmp_path, monkeypatch):
     d = _make_cohort(tmp_path, copies=2)
     monkeypatch.setenv("DIGRAPHLETS_WORKERS", "zero")
@@ -260,6 +304,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     assert main(["gcm", "whatever", "--theta", "2"]) == 1
     assert main(["census"]) == 1
+
+
+@pytest.mark.parametrize("command", ["census", "cluster", "prune"])
+def test_non_utf8_input_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(NOT_UTF8)
+    assert main([command, str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}:") and "utf-8" in err
 
 
 def test_version_and_help():

@@ -4,7 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from digraphlets.fileio import fmt_number, table_csv
+from digraphlets.errors import InputError
+from digraphlets.fileio import fmt_number, read_text, table_csv, write_text
 
 
 def reference_table_csv(corner, columns, row_labels, values):
@@ -39,3 +40,18 @@ def test_table_csv_matches_cell_by_cell_reference(values):
     columns = ["c0", "c1", "c,2", "c3"]
     got = table_csv("vertex", columns, labels, values)
     assert got == reference_table_csv("vertex", columns, labels, values)
+
+
+def test_read_text_round_trip_and_errors(tmp_path):
+    path = tmp_path / "t.txt"
+    write_text(path, "a b\né c\n")
+    assert read_text(path) == "a b\né c\n"
+    path.write_bytes(b"a b\r\nc d\n")
+    assert read_text(path) == "a b\nc d\n"  # universal newlines, as before
+    path.write_bytes(b"a b\n\xff\xfe c\n")
+    with pytest.raises(InputError, match="^cannot read .*t.txt: 'utf-8' codec"):
+        read_text(path)
+    with pytest.raises(InputError, match="^cannot read .*missing.txt: "):
+        read_text(tmp_path / "missing.txt")
+    with pytest.raises(InputError, match="^cannot read "):
+        read_text(tmp_path)  # a directory

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import digraphlets as dg
-from digraphlets.errors import InputError
+from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
 
 from conftest import digraphs
@@ -203,6 +204,94 @@ def test_pair_relation_views():
     assert g.pair_relation(0, 4) == "none"
     with pytest.raises(InputError):
         g.pair_relation(2, 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(digraphs(max_n=9))
+def test_in_relation_is_transpose_of_out(g):
+    out = sparse.csr_matrix(
+        (np.ones(len(g.out_idx)), g.out_idx, g.out_ptr), shape=(g.n, g.n)
+    )
+    t = out.T.tocsr()
+    t.sort_indices()
+    ptr, idx = g.kind_arrays("-")
+    assert ptr.dtype == idx.dtype == np.int64
+    assert np.array_equal(ptr, t.indptr) and np.array_equal(idx, t.indices)
+    assert np.array_equal(g.in_degrees, np.diff(t.indptr))
+    rec = sparse.csr_matrix(
+        (np.ones(len(g.rec_idx)), g.rec_idx, g.rec_ptr), shape=(g.n, g.n)
+    )
+    for i in range(g.n):
+        assert g.neighbors(i, "-").tolist() == t.indices[t.indptr[i] : t.indptr[i + 1]].tolist()
+        for j in range(g.n):
+            if i != j:
+                seen = g.pair_relation(i, j)
+                assert (seen == "out") == (g.pair_relation(j, i) == "in")
+                assert seen == (
+                    "out" if out[i, j] else "in" if t[i, j] else "recip" if rec[i, j] else "none"
+                )
+
+
+def test_validate_rejects_broken_graphs():
+    empty, zeros = np.empty(0, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    one_arc = (np.array([0, 1, 1, 1]), np.array([1]))
+
+    def check(out, rec, message):
+        g = dg.DirectedGraph(3, ("a", "b", "c"), *out, *rec)
+        with pytest.raises(InvariantError, match=message):
+            g.validate()
+
+    check((np.array([0, 1, 1]), np.array([1])), (zeros, empty), "bad indptr")
+    check((np.array([0, 2, 1, 2]), np.array([1, 2])), (zeros, empty), "not monotone")
+    check((np.array([0, 1, 1, 1]), np.array([3])), (zeros, empty), "out of range")
+    check((np.array([0, 1, 1, 1]), np.array([0])), (zeros, empty), "self-loop")
+    check((np.array([0, 2, 2, 2]), np.array([2, 1])), (zeros, empty), "strictly sorted")
+    check((zeros, empty), one_arc, "not symmetric")
+    check(one_arc, (np.array([0, 1, 2, 2]), np.array([1, 0])), "overlap")
+    dg.DirectedGraph(3, ("a", "b", "c"), *one_arc, zeros, empty).validate()
+
+
+def _first_bad_label(labels):
+    """The per-character label rule that ``_check_labels`` must match."""
+    for lab in labels:
+        if not lab or any(c.isspace() for c in lab) or "," in lab or "#" in lab:
+            return lab
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad", ["a b", "a\tb", "a\xa0b", "a\x1fb", "a\nb", "a,b", "a#b", "", " a", "b\u2003"]
+)
+def test_invalid_vertex_label_is_named(bad):
+    for labels in (["x", bad, "y"], ["x", bad, "a b c,d"]):
+        with pytest.raises(InputError) as info:
+            dg.DirectedGraph.from_arcs([(0, 1)], labels=labels)
+        assert str(info.value) == f"invalid vertex label {bad!r}"
+    # one token per label overall, yet '' and 'a b' are both invalid
+    with pytest.raises(InputError, match="^invalid vertex label ''$"):
+        dg.DirectedGraph.from_pair_relations(3, [(0, 1)], [2], labels=("x", "", "a b"))
+
+
+def test_label_count_and_uniqueness_messages():
+    with pytest.raises(InputError, match="^expected 3 labels, got 2$"):
+        dg.DirectedGraph.from_arcs([(0, 1)], n=3, labels=("a", "b"))
+    with pytest.raises(InputError, match="^vertex labels must be unique$"):
+        dg.DirectedGraph.from_arcs([(0, 1)], labels=("a", "b", "a"))
+    g = dg.DirectedGraph.from_arcs([(0, 1)], labels=("é", "a-b", "[1]"))
+    assert g.labels == ("é", "a-b", "[1]")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+def test_label_check_matches_per_character_rule(labels):
+    bad = _first_bad_label(labels)
+    if bad is None:
+        g = dg.DirectedGraph.from_arcs([], n=len(labels), labels=labels)
+        assert g.labels == tuple(labels)
+    else:
+        with pytest.raises(InputError) as info:
+            dg.DirectedGraph.from_arcs([], n=len(labels), labels=labels)
+        assert str(info.value) == f"invalid vertex label {bad!r}"
 
 
 def test_connected_pairs_sorted():
