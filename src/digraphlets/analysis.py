@@ -15,6 +15,13 @@ import numpy as np
 
 from .errors import InputError
 
+# Largest condensed distance matrix (n(n-1)/2 float64) that ward_cluster
+# lets linkage build: about 16,000 rows.  A run peaks at about twice the
+# matrix (561 MB RSS at 8000 rows, whose distances take 256 MB), so the
+# limit keeps one near 2.5 GB, well inside an 8 GB machine, where 5*10^4
+# rows (10 GB of distances alone) would end in an out-of-memory kill.
+WARD_BUDGET_BYTES = 1 << 30
+
 __all__ = [
     "GraphletCorrelationMatrix",
     "CohortStats",
@@ -165,20 +172,9 @@ class Dendrogram:
 
     def leaf_order(self) -> list[int]:
         """Leaves by depth-first left-first traversal from the root."""
-        n = self.n
-        if n == 1:
-            return [0]
-        out: list[int] = []
-        stack = [2 * n - 2]
-        while stack:
-            node = stack.pop()
-            if node < n:
-                out.append(node)
-            else:
-                a, b = self.merges[node - n, 0], self.merges[node - n, 1]
-                stack.append(int(b))
-                stack.append(int(a))
-        return out
+        from scipy.cluster.hierarchy import leaves_list
+
+        return leaves_list(self.merges).tolist()
 
     def cut(self, k: int) -> np.ndarray:
         """Cluster assignment per vertex after the first n-k merges.
@@ -228,6 +224,12 @@ def ward_cluster(sig, standardize: bool = True) -> Dendrogram:
     labels = tuple(labels) if labels else tuple(str(i) for i in range(len(x)))
     if len(labels) != len(x):
         raise InputError("label count does not match row count")
+    need = 8 * len(x) * (len(x) - 1) // 2
+    if need > WARD_BUDGET_BYTES:
+        raise InputError(
+            f"clustering {len(x)} rows needs {need} bytes of pairwise "
+            f"distances, over the {WARD_BUDGET_BYTES}-byte limit"
+        )
     if standardize:
         mean = x.mean(axis=0)
         std = x.std(axis=0)

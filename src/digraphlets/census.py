@@ -97,17 +97,6 @@ class RawCensus:
             and np.array_equal(self.triangles, other.triangles)
         )
 
-    def __add__(self, other: "RawCensus") -> "RawCensus":
-        if self.n != other.n:
-            raise InputError("cannot add censuses of different sizes")
-        return RawCensus(
-            self.labels,
-            self.degrees + other.degrees,
-            self.wedge_totals + other.wedge_totals,
-            self.wedges + other.wedges,
-            self.triangles + other.triangles,
-        )
-
 
 @dataclass(eq=False)
 class SignatureMatrix:

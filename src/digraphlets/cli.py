@@ -55,6 +55,16 @@ def _theta(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+    return value
+
+
 def _workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -155,7 +165,8 @@ def cmd_cohort(args) -> int:
         raise InputError(f"no input files in {root}")
     method = "spearman" if args.spearman else "pearson"
     tasks = [(str(p), args.normalized, method) for p in paths]
-    workers = _workers()
+    # fork starts every worker up front, so never more than there are members
+    workers = min(_workers(), len(tasks))
     if workers == 1:
         matrices = [_subject_gcm(t) for t in tasks]
     else:
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randomize", help="resample every edge direction")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_randomize)
 
@@ -328,6 +339,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

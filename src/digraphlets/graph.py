@@ -161,24 +161,6 @@ class DirectedGraph:
             labels = _check_labels(labels, n)
         return cls(n, labels, *_csr(n, out_keys), *_csr(n, rec_keys))
 
-    @classmethod
-    def from_adjacency(cls, a, labels=None) -> "DirectedGraph":
-        """Build from a square 0/1 adjacency matrix (dense or sparse)."""
-        if hasattr(a, "tocoo"):
-            coo = a.tocoo()
-            rows, cols, vals = coo.row, coo.col, coo.data
-            rows, cols = rows[vals != 0], cols[vals != 0]
-            shape = a.shape
-        else:
-            a = np.asarray(a)
-            if a.ndim != 2:
-                raise InputError("adjacency matrix must be 2-dimensional")
-            rows, cols = np.nonzero(a)
-            shape = a.shape
-        if shape[0] != shape[1]:
-            raise InputError("adjacency matrix must be square")
-        return cls.from_arcs(np.column_stack([rows, cols]), n=shape[0], labels=labels)
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -323,26 +305,23 @@ class DirectedGraph:
         return head + "".join(cells.tolist())
 
 
-def parse_edge_list(text: str, fmt: str = "auto") -> DirectedGraph:
+def parse_edge_list(text: str) -> DirectedGraph:
     """Parse edge-list text into a DirectedGraph.
 
-    ``fmt`` selects the arc-line token separator: 'whitespace', 'csv',
-    or 'auto' (per line: comma if present, else whitespace).  A comma
-    line splits on its comma, each field stripped of surrounding
-    whitespace.  Vertex declaration lines fix the label-to-index
-    mapping; without them, vertices are the distinct endpoint labels in
-    order of first appearance.  Self-loops and duplicate arcs are
-    dropped with a warning.  Malformed lines raise InputError with the
-    line number.  ``to_edge_list_text`` writes the declarations
-    followed by the arcs in ascending (src, dst) order.
+    An arc line that holds a comma splits on it, each field stripped of
+    surrounding whitespace; any other arc line splits on whitespace.
+    Vertex declaration lines fix the label-to-index mapping; without
+    them, vertices are the distinct endpoint labels in order of first
+    appearance.  Self-loops and duplicate arcs are dropped with a
+    warning.  Malformed lines raise InputError with the line number.
+    ``to_edge_list_text`` writes the declarations followed by the arcs
+    in ascending (src, dst) order.
 
     The text is read in blocks of ``_BLOCK_LINES`` lines, each split and
     mapped in bulk; line numbers are worked out only when a check fails.
     """
-    if fmt not in ("auto", "whitespace", "csv"):
-        raise InputError(f"unknown edge-list format {fmt!r}")
     lines = text.splitlines()
-    reader = _EdgeListReader(fmt)
+    reader = _EdgeListReader()
     for start in range(0, len(lines), _BLOCK_LINES):
         reader.read_block(lines[start : start + _BLOCK_LINES], start + 1)
     del lines  # the graph build below needs none of the line strings
@@ -366,7 +345,7 @@ def parse_edge_list(text: str, fmt: str = "auto") -> DirectedGraph:
     )
 
 
-def _arc_tokens(body: list[str], fmt: str):
+def _arc_tokens(body: list[str]):
     """Split arc lines (comments and surrounding whitespace removed).
 
     Returns the index in ``body`` of the first line that does not hold
@@ -375,10 +354,10 @@ def _arc_tokens(body: list[str], fmt: str):
     """
     m = len(body)
     joined = "\n".join(body)
-    if fmt == "auto" and "," in joined:
+    if "," in joined:
         comma = np.fromiter(map(str.__contains__, body, repeat(",")), bool, m)
     else:
-        comma = np.full(m, fmt == "csv")
+        comma = np.zeros(m, dtype=bool)
     plain, commas = body, []
     if comma.any():
         plain = list(compress(body, (~comma).tolist()))
@@ -407,8 +386,7 @@ def _arc_tokens(body: list[str], fmt: str):
 class _EdgeListReader:
     """Parser state carried from one block of edge-list lines to the next."""
 
-    def __init__(self, fmt: str):
-        self.fmt = fmt
+    def __init__(self):
         self.declared: dict[str, int] = {}
         self.label_of: dict[str, int] = {}  # first-appearance ids, no declarations
         self.ends: list[np.ndarray] = []  # per block: src, dst, src, dst, ...
@@ -429,7 +407,7 @@ class _EdgeListReader:
             if lines[i].lstrip().startswith(_VERTEX_PREFIX)
         ]
         labels = [lines[i].strip()[len(_VERTEX_PREFIX) :].strip() for i in decl_at]
-        cut, tokens = _arc_tokens(list(compress(content, has.tolist())), self.fmt)
+        cut, tokens = _arc_tokens(list(compress(content, has.tolist())))
         # (block line index, rank on that line, message); the least is raised
         errors = []
         if cut < len(at):
@@ -491,11 +469,11 @@ class _EdgeListReader:
             raise InputError(f"line {first + i}: {message}")
 
 
-def load_edge_list(path, fmt: str = "auto") -> DirectedGraph:
+def load_edge_list(path) -> DirectedGraph:
     """Read an edge-list file; IO and parse problems name the file."""
     text = read_text(path)
     try:
-        return parse_edge_list(text, fmt=fmt)
+        return parse_edge_list(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -31,6 +31,9 @@ from .errors import InputError, UnprunableError
 from .fileio import read_text
 from .graph import DirectedGraph
 
+CONNECTIVITY = 0.99  # least share of vertices in the largest weak component
+DEGREE_FACTOR = 2.0  # least total degree is DEGREE_FACTOR * ln(n)
+
 
 @dataclass(eq=False)
 class WeightedMatrix:
@@ -120,24 +123,22 @@ def load_weighted_csv(path) -> WeightedMatrix:
     return parse_weighted_csv(read_text(path))
 
 
-def _feasible(strength: np.ndarray, t: float, connectivity: float,
-              min_degree: float) -> bool:
+def _feasible(strength: np.ndarray, t: float, min_degree: float) -> bool:
     arcs = strength > t
     skeleton = arcs | arcs.T
     if (skeleton.sum(axis=1) < min_degree).any():
         return False
     _, comp = csgraph.connected_components(skeleton, directed=False)
     largest = np.bincount(comp).max()
-    return largest >= connectivity * len(strength)
+    return largest >= CONNECTIVITY * len(strength)
 
 
-def prune_weighted(w: WeightedMatrix, connectivity: float = 0.99,
-                   degree_factor: float = 2.0,
-                   use_magnitude: bool = True) -> tuple[DirectedGraph, float]:
+def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     """Prune to the largest threshold keeping the matrix well connected.
 
-    Arcs are kept where |w_ij| > t (or w_ij > t when use_magnitude is
-    off); the degree floor is degree_factor * ln(n).  Raises
+    Arcs are kept where |w_ij| > t, for the largest t at which at least
+    ``CONNECTIVITY`` of the vertices share one weak component and every
+    total degree is at least ``DEGREE_FACTOR * ln(n)``.  Raises
     UnprunableError when even t = 0 violates a criterion.  ``w`` may be
     a WeightedMatrix or a plain square array.
     """
@@ -145,20 +146,18 @@ def prune_weighted(w: WeightedMatrix, connectivity: float = 0.99,
         w = weighted_matrix(np.asarray(w, dtype=np.float64))
     if w.n < 3:
         raise InputError("pruning needs at least 3 vertices")
-    if not 0 < connectivity <= 1:
-        raise InputError("connectivity fraction must be in (0, 1]")
-    strength = np.abs(w.values) if use_magnitude else w.values.copy()
+    strength = np.abs(w.values)
     np.fill_diagonal(strength, 0.0)
-    min_degree = degree_factor * math.log(w.n)
+    min_degree = DEGREE_FACTOR * math.log(w.n)
     candidates = np.concatenate([[0.0], np.unique(strength[strength > 0])])
-    if not _feasible(strength, 0.0, connectivity, min_degree):
+    if not _feasible(strength, 0.0, min_degree):
         raise UnprunableError(
             "no threshold satisfies the connectivity and degree criteria"
         )
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _feasible(strength, candidates[mid], connectivity, min_degree):
+        if _feasible(strength, candidates[mid], min_degree):
             lo = mid
         else:
             hi = mid - 1
@@ -186,5 +185,5 @@ def skeleton_summary(graph: DirectedGraph) -> dict:
     return {
         "largest_component_fraction": largest / graph.n,
         "min_total_degree": int(degrees.min()),
-        "degree_floor": 2.0 * math.log(graph.n),
+        "degree_floor": DEGREE_FACTOR * math.log(graph.n),
     }

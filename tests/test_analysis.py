@@ -190,6 +190,44 @@ def _cut_by_label_scan(tree, k):
     return assignment
 
 
+def _leaf_order_by_dfs(tree):
+    """The former ``Dendrogram.leaf_order``: a depth-first, left-first
+    walk from the root."""
+    n = tree.n
+    out, stack = [], [2 * n - 2]
+    while stack:
+        node = stack.pop()
+        if node < n:
+            out.append(node)
+        else:
+            a, b = tree.merges[node - n, 0], tree.merges[node - n, 1]
+            stack.append(int(b))
+            stack.append(int(a))
+    return out
+
+
+def _random_tree(rng, n):
+    """A linkage matrix merging random pairs of the current clusters."""
+    active, size = list(range(n)), [1] * n
+    merges = []
+    for s in range(n - 1):
+        a, b = (active.pop(int(rng.integers(len(active)))) for _ in range(2))
+        size.append(size[a] + size[b])
+        merges.append((a, b, float(s), size[-1]))
+        active.append(n + s)
+    return dg.Dendrogram(np.array(merges, dtype=np.float64), tuple(map(str, range(n))))
+
+
+def test_leaf_order_matches_dfs_reference():
+    rng = np.random.default_rng(13)
+    trees = [_random_tree(rng, n) for n in (2, 3, 5, 17, 64) for _ in range(4)]
+    coarse = rng.integers(0, 3, size=(60, 4))
+    trees += [dg.ward_cluster(_table(rows), standardize=False)
+              for rows in (_tied_rows(), coarse, rng.normal(size=(40, 3)))]
+    for tree in trees:
+        assert tree.leaf_order() == _leaf_order_by_dfs(tree)
+
+
 def test_rank_columns_matches_scipy_rankdata():
     rng = np.random.default_rng(11)
     for levels in (1, 2, 3, 5, 40):

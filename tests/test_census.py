@@ -63,7 +63,9 @@ def test_sum_identities(g):
 def test_aggregate_is_linear():
     g = seeded_graph(1)
     raw = dg.raw_census(g)
-    double = dg.aggregate(raw + raw)
+    double = dg.aggregate(dg.RawCensus(
+        raw.labels, 2 * raw.degrees, 2 * raw.wedge_totals, 2 * raw.wedges, 2 * raw.triangles
+    ))
     assert np.array_equal(double.values, 2 * dg.aggregate(raw).values)
 
 

@@ -1,14 +1,16 @@
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import digraphlets as dg
-from digraphlets import cli
+from digraphlets import analysis, cli
 from digraphlets.cli import main
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -192,6 +194,29 @@ def test_cohort_crashed_worker_exits_3(tmp_path, monkeypatch, capsys):
     assert "s00.edgelist" not in err and "s02.edgelist" not in err
 
 
+def test_cohort_pool_is_bounded_by_member_count(tmp_path, monkeypatch, capsys):
+    d = _make_cohort(tmp_path, copies=3)
+    asked = []
+
+    class RecordingPool(_CrashingPool):
+        """Records the worker count it is given; maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setenv("DIGRAPHLETS_WORKERS", "64")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 0
+    assert asked == [3]
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CrashingPool)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "y")]) == 3
+    assert "(3 workers)" in capsys.readouterr().err
+
+
 def test_cohort_env_validation(tmp_path, monkeypatch):
     d = _make_cohort(tmp_path, copies=2)
     monkeypatch.setenv("DIGRAPHLETS_WORKERS", "zero")
@@ -209,6 +234,16 @@ def test_randomize_deterministic(random_file, tmp_path):
     assert np.array_equal(
         shuffled.connected_pairs()[0], original.connected_pairs()[0]
     )
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_a_usage_error(seed, random_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["randomize", str(random_file), "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed:" in err and "Traceback" not in err
+    assert ("non-negative" in err) == (seed == "-1")
+    assert not out.exists()
 
 
 def test_commands_compose(random_file, tmp_path):
@@ -281,6 +316,20 @@ def test_cluster_rejects_non_finite_cell(tmp_path, capsys):
     assert not (tmp_path / "x" / "dendrogram.newick").exists()
 
 
+def test_cluster_over_the_ward_budget_exits_2(random_file, tmp_path, monkeypatch, capsys):
+    sig = tmp_path / "c" / "signature.csv"
+    assert main(["census", str(random_file), "--out", str(sig.parent)]) == 0
+    # 25 rows: 300 distances of 8 bytes
+    monkeypatch.setattr(analysis, "WARD_BUDGET_BYTES", 2400)
+    assert main(["cluster", str(sig), "--out", str(tmp_path / "k")]) == 0
+    monkeypatch.setattr(analysis, "WARD_BUDGET_BYTES", 2399)
+    capsys.readouterr()
+    assert main(["cluster", str(sig), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "25 rows needs 2400 bytes" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_oracle_command(cycle_file, tmp_path):
     out = tmp_path / "o"
     assert main(["oracle", str(cycle_file), "--out", str(out)]) == 0
@@ -315,6 +364,15 @@ def test_non_utf8_input_exits_2(command, tmp_path, capsys):
     assert err.startswith(f"error: cannot read {bad}:") and "utf-8" in err
 
 
+def test_out_of_memory_exits_2_naming_the_command(cycle_file, tmp_path, monkeypatch, capsys):
+    def exhausted(graph):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "raw_census", exhausted)
+    assert main(["census", str(cycle_file), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: out of memory in census\n"
+
+
 def test_version_and_help():
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0
@@ -337,3 +395,14 @@ def test_cli_import_skips_scipy_stats_and_cluster():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_bench_layers_are_cli_attributes(monkeypatch):
+    # the traced bench swaps these names on digraphlets.cli by attribute
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert [name for name in child.LAYERS if not hasattr(cli, name)] == []
+    assert isinstance(dg.DirectedGraph.__dict__["from_arcs"], classmethod)

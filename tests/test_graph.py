@@ -15,11 +15,9 @@ from conftest import digraphs
 _VERTEX_PREFIX = "# vertex:"
 
 
-def reference_parse(text: str, fmt: str = "auto") -> dg.DirectedGraph:
+def reference_parse(text: str) -> dg.DirectedGraph:
     """Line-by-line edge-list parser: the reference that the block-wise
     ``parse_edge_list`` must match in graphs, warnings and errors."""
-    if fmt not in ("auto", "whitespace", "csv"):
-        raise InputError(f"unknown edge-list format {fmt!r}")
     declared: dict[str, int] = {}
     label_of: dict[str, int] = {}
     arcs: list[tuple[int, int]] = []
@@ -41,7 +39,7 @@ def reference_parse(text: str, fmt: str = "auto") -> dg.DirectedGraph:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if fmt == "csv" or (fmt == "auto" and "," in line):
+        if "," in line:
             tokens = [t.strip() for t in line.split(",")]
         else:
             tokens = line.split()
@@ -84,20 +82,20 @@ def reference_text(g: dg.DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_outcome(parse, text, fmt="auto"):
+def parse_outcome(parse, text):
     """(graph or error message, warning messages) of one parse."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = parse(text, fmt)
+            result = parse(text)
         except InputError as exc:
             result = f"InputError: {exc}"
     return result, [str(w.message) for w in caught]
 
 
-def assert_parses_like_reference(text, fmt="auto"):
-    got = parse_outcome(dg.parse_edge_list, text, fmt)
-    want = parse_outcome(reference_parse, text, fmt)
+def assert_parses_like_reference(text):
+    got = parse_outcome(dg.parse_edge_list, text)
+    want = parse_outcome(reference_parse, text)
     if isinstance(want[0], str):
         assert got[0] == want[0]
     else:
@@ -141,7 +139,7 @@ def test_csv_and_comment_lines():
     g = dg.parse_edge_list("# header\na,b\nb,c # trailing\n\n")
     assert g.labels == ("a", "b", "c")
     assert g.pair_relation(1, 2) == "out"
-    same = dg.parse_edge_list("a,b\nb,c\n", fmt="csv")
+    same = dg.parse_edge_list("a,b\nb,c\n")
     assert same == g
 
 
@@ -314,17 +312,6 @@ def test_from_arcs_validation():
         dg.DirectedGraph.from_arcs([(0, 1)], labels=("a b", "c"))
 
 
-def test_from_adjacency_matches_from_arcs():
-    a = np.zeros((4, 4), dtype=int)
-    a[0, 1] = a[1, 0] = a[2, 3] = 1
-    g = dg.DirectedGraph.from_adjacency(a)
-    assert g == dg.DirectedGraph.from_arcs([(0, 1), (1, 0), (2, 3)], n=4)
-    from scipy import sparse
-    assert dg.DirectedGraph.from_adjacency(sparse.csr_matrix(a)) == g
-    with pytest.raises(InputError):
-        dg.DirectedGraph.from_adjacency(np.eye(3))
-
-
 def test_randomize_preserves_skeleton():
     g = dg.random_digraph(40, 0.2, seed=11)
     r = dg.randomize_directions(g, seed=99)
@@ -463,9 +450,9 @@ def edge_list_texts(draw):
 
 
 @settings(deadline=None, max_examples=400)
-@given(edge_list_texts(), st.sampled_from(["auto", "whitespace", "csv"]))
-def test_parser_matches_line_by_line_reference(text, fmt):
-    assert_parses_like_reference(text, fmt)
+@given(edge_list_texts())
+def test_parser_matches_line_by_line_reference(text):
+    assert_parses_like_reference(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -492,9 +479,8 @@ def test_parser_matches_line_by_line_reference(text, fmt):
     "",
     "# only a comment\n",
 ])
-@pytest.mark.parametrize("fmt", ["auto", "whitespace", "csv"])
-def test_parser_matches_reference_on_corner_cases(text, fmt):
-    assert_parses_like_reference(text, fmt)
+def test_parser_matches_reference_on_corner_cases(text):
+    assert_parses_like_reference(text)
 
 
 def _long_text(head, body_line, tail):

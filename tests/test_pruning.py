@@ -33,7 +33,7 @@ def test_threshold_is_maximal():
     np.fill_diagonal(w, 0.0)
     weak = 0.3
     w[0, 1] = weak
-    g, t = dg.prune_weighted(w, degree_factor=2.0)
+    g, t = dg.prune_weighted(w)
     strengths = np.abs(w)[np.abs(w) > 0]
     candidates = np.concatenate([[0.0], np.unique(strengths)])
     feasible = []
@@ -101,18 +101,6 @@ def test_postconditions_on_random_instances():
         assert kept[src, dst].all()
 
 
-def test_signed_thresholding_without_magnitude():
-    n = 10
-    w = np.full((n, n), 0.9)
-    np.fill_diagonal(w, 0.0)
-    w[0, :] = -0.9  # strong but negative out-arcs
-    w[0, 0] = 0.0
-    g_abs, _ = dg.prune_weighted(dg.weighted_matrix(w), use_magnitude=True)
-    assert g_abs.out_degrees[0] + g_abs.recip_degrees[0] == n - 1
-    g_sgn, _ = dg.prune_weighted(dg.weighted_matrix(w), use_magnitude=False)
-    assert g_sgn.out_degrees[0] == 0
-
-
 def test_reciprocal_formed_from_surviving_pair():
     n = 6
     w = np.zeros((n, n))
@@ -122,7 +110,7 @@ def test_reciprocal_formed_from_surviving_pair():
                 w[i, j] = 1.0
     w[0, 1] = 2.0
     w[1, 0] = 2.0
-    g, t = dg.prune_weighted(dg.weighted_matrix(w), degree_factor=0.5)
+    g, t = dg.prune_weighted(dg.weighted_matrix(w))
     assert g.pair_relation(0, 1) == "recip"
 
 
