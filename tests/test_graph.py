@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -455,6 +456,22 @@ def test_parser_matches_line_by_line_reference(text):
     assert_parses_like_reference(text)
 
 
+def _separated(text, style):
+    """``text`` with the content before each ``#`` split by whitespace
+    (``whitespace``) or by single commas (``csv``); ``auto`` keeps it."""
+    if style == "auto":
+        return text
+    lines = []
+    for line in text.split("\n"):
+        body, hash_, comment = line.partition("#")
+        if style == "whitespace":
+            body = body.replace(",", " ")
+        else:
+            body = re.sub(r"\s*,\s*|\s+", ",", body.strip())
+        lines.append(body + hash_ + comment)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("text", [
     # a late declaration is accepted while every arc so far is a self-loop
     "# vertex: a\na a\n# vertex: b\na b\n",
@@ -479,8 +496,12 @@ def test_parser_matches_line_by_line_reference(text):
     "",
     "# only a comment\n",
 ])
-def test_parser_matches_reference_on_corner_cases(text):
-    assert_parses_like_reference(text)
+@pytest.mark.parametrize("style", ["auto", "whitespace", "csv"])
+def test_parser_matches_reference_on_corner_cases(text, style):
+    """Each case as written, with its commas turned to spaces, and with
+    the separators of its content turned to commas, so that both
+    splitting rules meet every case."""
+    assert_parses_like_reference(_separated(text, style))
 
 
 def _long_text(head, body_line, tail):
