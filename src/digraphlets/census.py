@@ -15,28 +15,27 @@ its other two vertices, so shape-symmetric types come out doubled (the
 all-reciprocal triangle gives T(o,o,o) = 2 per vertex).
 
 The counting is linear algebra over the three 0/1 relation matrices.
-With A_b^T = A_mirror(b) (transposing an adjacency flips pure arc
-direction and fixes reciprocal edges):
+Transposing an adjacency flips pure arc direction and fixes reciprocal
+edges, so A_b^T = A_mirror(b), and expanding |S_i^a intersect S_j^b| as
+sum_h A_a[i, h] A_b[j, h] shows it is entry (i, j) of the product
+P_ab = A_a @ A_mirror(b), the transpose of P_ba.  With C = A_g .* P_ab:
 
-    T(a, b, g) column = row sums of A_g .* (A_a @ A_mirror(b))
-    L(a, b)    column = A_a @ d^mirror(b) - [a == b] * d^a
-
-Both identities follow by expanding |S_i^a intersect S_j^b| as
-sum_h A_a[i, h] A_b[j, h].  The same expansion shows that the product
-P_ab = A_a @ A_mirror(b), with P_ab[i, j] = |S_i^a intersect S_j^b|,
-is the transpose of P_ba.  Since j in S_i^g exactly when i in
-S_j^mirror(g), the column sums of C = A_g .* P_ab are the T(b, a,
-mirror(g)) column:
-
+    L(a, b)            column = A_a @ d^mirror(b) - [a == b] * d^a
     T(a, b, g)         column = row sums of C
     T(b, a, mirror(g)) column = column sums of C
 
-So only the 6 products with WEDGE_INDEX[(a, b)] <= WEDGE_INDEX[(b, a)]
-are built.  Each is masked once by the 0/1 skeleton A_+ + A_- + A_o,
-which keeps only the entries whose ends are adjacent (at most two per
-connected pair), and that short matrix is split by the three A_g.
-Everything stays in int64; an overflow guard rejects graphs where
-n * dmax^2 approaches 2^62.
+the last because j in S_i^g exactly when i in S_j^mirror(g).  So only
+the 6 products with WEDGE_INDEX[(a, b)] <= WEDGE_INDEX[(b, a)] are
+built, each masked once by the kind-coded skeleton A_+ + B A_- + B^2 A_o
+with B = dmax + 1, which keeps only the entries whose ends are adjacent.
+As c = P_ab[i, j] <= dmax < B, a kept entry v = c B^g decodes to the
+kind g = [v >= B] + [v >= B^2] of edge (i, j) and c = v // B^g; one
+bincount over row*3 + g and one over col*3 + g fill the six columns.
+
+The overflow guard n dmax^2 < 2^62, with dmax < n, bounds every coded
+entry by dmax (dmax + 1)^2 <= 2 n dmax^2 < 2^63, so products and masks
+stay in int64, and every per-vertex count by dmax^2 < 2^53, so the
+float64 bincount sums are exact.
 """
 
 from __future__ import annotations
@@ -57,14 +56,10 @@ from .taxonomy import (
     TRIANGLE_BLOCK,
     TRIANGLE_CLASS_MEMBERS,
     TRIANGLE_INDEX,
-    TRIANGLE_TYPES,
     WEDGE_BLOCK,
     WEDGE_CLASS_MEMBERS,
     WEDGE_INDEX,
-    WEDGE_TYPES,
 )
-
-_KIND_COL = {k: i for i, k in enumerate(EDGE_KINDS)}
 
 
 @dataclass(eq=False)
@@ -156,31 +151,32 @@ def raw_census(g: DirectedGraph) -> RawCensus:
     degrees = np.column_stack(
         [g.out_degrees, g.in_degrees, g.recip_degrees]
     ).astype(np.int64)
-    total = degrees.sum(axis=1)
-    dmax = int(total.max()) if n else 0
+    dmax = int(degrees.sum(axis=1).max(initial=0))
     if n * dmax * dmax >= 1 << 62:
         raise InvariantError("counts could overflow 64-bit integers")
     mats = _relation_matrices(g)
-    skeleton = mats["+"] + mats["-"] + mats["o"]
-    ones = np.ones(n, dtype=np.int64)
+    base = dmax + 1
+    coded = sum(base**k * mats[kind] for k, kind in enumerate(EDGE_KINDS))
+    far = degrees[:, [EDGE_KINDS.index(MIRROR[beta]) for beta in EDGE_KINDS]]
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
     triangles = np.zeros((n, 27), dtype=np.int64)
+    for alpha in EDGE_KINDS:
+        w_cols = [WEDGE_INDEX[(alpha, beta)] for beta in EDGE_KINDS]
+        wedge_totals[:, w_cols] = mats[alpha] @ far
+    wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
     for (alpha, beta), w_col in WEDGE_INDEX.items():
-        far_degree = degrees[:, _KIND_COL[MIRROR[beta]]]
-        wedge_totals[:, w_col] = mats[alpha] @ far_degree
-        if alpha == beta:
-            wedge_totals[:, w_col] -= degrees[:, _KIND_COL[alpha]]
         if w_col > WEDGE_INDEX[(beta, alpha)]:
             continue  # its product is the transpose of the (beta, alpha) one
-        closed = skeleton.multiply(mats[alpha] @ mats[MIRROR[beta]])
-        for gamma in EDGE_KINDS:
-            split = mats[gamma].multiply(closed)
-            rows = TRIANGLE_INDEX[(alpha, beta, gamma)]
-            cols = TRIANGLE_INDEX[(beta, alpha, MIRROR[gamma])]
-            triangles[:, rows] = split @ ones
-            triangles[:, cols] = ones @ split
-    closing = triangles.reshape(n, 9, 3).sum(axis=2)
-    wedges = wedge_totals - closing
+        closed = coded.multiply(mats[alpha] @ mats[MIRROR[beta]]).tocoo()
+        gamma = (closed.data >= base).astype(np.int64) + (closed.data >= base**2)
+        count = closed.data // base**gamma
+        rows = [TRIANGLE_INDEX[(alpha, beta, k)] for k in EDGE_KINDS]
+        cols = [TRIANGLE_INDEX[(beta, alpha, MIRROR[k])] for k in EDGE_KINDS]
+        by_row = np.bincount(closed.row * 3 + gamma, count, minlength=3 * n)
+        by_col = np.bincount(closed.col * 3 + gamma, count, minlength=3 * n)
+        triangles[:, rows] = by_row.reshape(n, 3)
+        triangles[:, cols] = by_col.reshape(n, 3)
+    wedges = wedge_totals - triangles.reshape(n, 9, 3).sum(axis=2)
     if (wedges < 0).any():
         raise InvariantError("induced wedge count went negative")
     return RawCensus(g.labels, degrees, wedge_totals, wedges, triangles)

@@ -41,6 +41,15 @@ def read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def read_parsed(path, parse):
+    """``parse`` of a file's text; every InputError names the file."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def write_text(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -119,4 +128,4 @@ def parse_signature_csv(text: str) -> SignatureTable:
 
 
 def read_signature_csv(path) -> SignatureTable:
-    return parse_signature_csv(read_text(path))
+    return read_parsed(path, parse_signature_csv)

@@ -26,7 +26,7 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .fileio import read_text, write_text
+from .fileio import read_parsed, write_text
 
 _VERTEX_PREFIX = "# vertex:"
 _LATE_DECLARATION = "vertex declarations must precede arcs"
@@ -471,11 +471,7 @@ class _EdgeListReader:
 
 def load_edge_list(path) -> DirectedGraph:
     """Read an edge-list file; IO and parse problems name the file."""
-    text = read_text(path)
-    try:
-        return parse_edge_list(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_parsed(path, parse_edge_list)
 
 
 def save_edge_list(graph: DirectedGraph, path) -> None:

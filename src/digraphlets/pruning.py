@@ -28,8 +28,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import InputError, UnprunableError
-from .fileio import read_text
-from .graph import DirectedGraph
+from .fileio import read_parsed
+from .graph import DirectedGraph, _check_labels
 
 CONNECTIVITY = 0.99  # least share of vertices in the largest weak component
 DEGREE_FACTOR = 2.0  # least total degree is DEGREE_FACTOR * ln(n)
@@ -52,6 +52,7 @@ def weighted_matrix(values, labels=None) -> WeightedMatrix:
 
     Entries must be finite; a nonzero diagonal is zeroed with a warning
     (self-coupling artifacts are common in estimated connectivity).
+    Labels (default "0" .. "n-1") must pass the edge-list label rule.
     """
     values = np.array(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -59,16 +60,11 @@ def weighted_matrix(values, labels=None) -> WeightedMatrix:
     if not np.isfinite(values).all():
         raise InputError("weight matrix entries must be finite")
     n = values.shape[0]
+    labels = _check_labels(range(n) if labels is None else labels, n)
     diag = np.diag(values)
     if (diag != 0).any():
         warnings.warn("zeroing nonzero diagonal of weight matrix", stacklevel=2)
         np.fill_diagonal(values, 0.0)
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise InputError("label count does not match matrix size")
     return WeightedMatrix(labels, values)
 
 
@@ -114,13 +110,12 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
             f"weight matrix must be square, got {values.shape[0]}x"
             f"{values.shape[1] if values.ndim == 2 else '?'}"
         )
-    if labels is not None and len(labels) != values.shape[0]:
-        raise InputError("weight matrix labels do not match its size")
     return weighted_matrix(values, labels)
 
 
 def load_weighted_csv(path) -> WeightedMatrix:
-    return parse_weighted_csv(read_text(path))
+    """Read a weight-matrix CSV; IO and parse problems name the file."""
+    return read_parsed(path, parse_weighted_csv)
 
 
 def _feasible(strength: np.ndarray, t: float, min_degree: float) -> bool:

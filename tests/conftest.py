@@ -46,6 +46,17 @@ def seeded_graph(k: int, lo=3, hi=40) -> dg.DirectedGraph:
     return dg.random_digraph(n, p, seed=int(rng.integers(2**32)), recip_prob=recip)
 
 
+def dense_relations(g) -> dict[str, np.ndarray]:
+    """0/1 float64 matrix of each edge kind, read off kind_arrays."""
+    mats = {}
+    for kind in dg.EDGE_KINDS:
+        ptr, idx = g.kind_arrays(kind)
+        a = np.zeros((g.n, g.n))
+        a[np.repeat(np.arange(g.n), np.diff(ptr)), idx] = 1.0
+        mats[kind] = a
+    return mats
+
+
 def skeleton_counts(g) -> tuple[int, int]:
     """Triangles and induced wedges of the undirected skeleton, counted
     by direct triple enumeration (no shared logic with the census)."""

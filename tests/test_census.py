@@ -6,7 +6,7 @@ import digraphlets as dg
 from digraphlets import taxonomy
 from digraphlets.errors import InputError, InvariantError
 
-from conftest import digraphs, seeded_graph, skeleton_counts
+from conftest import dense_relations, digraphs, seeded_graph, skeleton_counts
 
 CYCLE_ROW = [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
 RECIP_ROW = [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
@@ -208,3 +208,22 @@ def test_triad_census_identity_above_oracle_cap():
             got[TRIAD_CODES[name]] = int(totals[col]) // per
     assert got == {code: expected[code] for code in got}
     assert all(got.values())  # every class is exercised
+
+
+def test_per_type_columns_above_oracle_cap():
+    # every T(a, b, g) and L(a, b) column against a dense recount straight
+    # from the definitions, at a size the oracle refuses: a decode that
+    # swapped two kinds inside one class keeps the triad totals but fails
+    g = dg.random_digraph(400, 0.5, seed=4)
+    raw = dg.raw_census(g)
+    assert raw.degrees.sum(axis=1).max() > 200
+    a = dense_relations(g)
+    degrees = np.column_stack([a[k].sum(axis=1) for k in dg.EDGE_KINDS])
+    assert np.array_equal(raw.degrees, degrees)
+    for (alpha, beta), w_col in taxonomy.WEDGE_INDEX.items():
+        # p[i, j] = |S_i^alpha intersect S_j^beta|
+        p = a[alpha] @ a[beta].T
+        assert np.array_equal(raw.wedge_totals[:, w_col], p.sum(axis=1) - np.diag(p))
+        for gamma in dg.EDGE_KINDS:
+            t_col = taxonomy.TRIANGLE_INDEX[(alpha, beta, gamma)]
+            assert np.array_equal(raw.triangles[:, t_col], (p * a[gamma]).sum(axis=1))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import digraphlets as dg
-from digraphlets import analysis, cli
+from digraphlets import analysis, cli, pruning
 from digraphlets.cli import main
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -271,6 +271,29 @@ def test_prune_command(tmp_path):
     assert pruned.n == n
 
 
+def test_prune_names_the_file_in_parse_errors(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("0,1,2\n1,0,x\n2,3,0\n")
+    assert main(["prune", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: non-numeric cell in weight matrix")
+    assert not (tmp_path / "x").exists()
+
+
+def test_prune_rejects_bad_labels_before_pruning(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the threshold search ran")
+
+    monkeypatch.setattr(pruning, "_feasible", never)
+    n = 8
+    w = np.ones((n, n)) - np.eye(n)
+    path = tmp_path / "w.csv"
+    path.write_text(",".join(f"r {i}" for i in range(n)) + "\n"
+                    + "".join(",".join(f"{x:g}" for x in row) + "\n" for row in w))
+    assert main(["prune", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: invalid vertex label 'r 0'\n"
+
+
 def test_prune_unprunable_exits_2(tmp_path):
     w = np.zeros((20, 20))
     w[:5, :5] = 1.0
@@ -314,6 +337,15 @@ def test_cluster_rejects_non_finite_cell(tmp_path, capsys):
     assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "line 3" in capsys.readouterr().err
     assert not (tmp_path / "x" / "dendrogram.newick").exists()
+
+
+def test_cluster_names_the_file_in_parse_errors(tmp_path, capsys):
+    path = tmp_path / "sig.csv"
+    path.write_text("vertex,a,b\n0,1,2\n1,x,3\n")
+    assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: non-numeric cell")
+    assert not (tmp_path / "x").exists()
 
 
 def test_cluster_over_the_ward_budget_exits_2(random_file, tmp_path, monkeypatch, capsys):

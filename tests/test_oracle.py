@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import digraphlets as dg
 from digraphlets.errors import InputError
 
-from conftest import digraphs, seeded_graph
+from conftest import dense_relations, digraphs, seeded_graph
 
 
 def test_oracle_three_cycle(three_cycle):
@@ -77,4 +77,46 @@ def _wheel(spokes):
     ("mixed wheel", _wheel(11)),
 ])
 def test_census_equals_oracle_with_empty_kinds(name, g):
+    assert dg.oracle_census(g) == dg.raw_census(g), name
+
+
+def _complete_but_one(n):
+    """Complete reciprocal graph on n vertices with pair (0, 1) a pure arc."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    codes = [0 if (i, j) == (0, 1) else 2 for i, j in pairs]
+    return dg.DirectedGraph.from_pair_relations(n, pairs, codes)
+
+
+def _books(pages, to_lo, to_hi):
+    """Two disjoint books of `pages` triangles on one spine pair each: an
+    arc spine, then a reciprocal one; every page relates to the spine's
+    low end by code to_lo and to its high end by code to_hi."""
+    pairs, codes = [], []
+    for start, spine in ((0, 0), (pages + 2, 2)):
+        lo, hi = start, start + 1
+        pairs.append((lo, hi))
+        codes.append(spine)
+        for page in range(start + 2, start + 2 + pages):
+            pairs += [(lo, page), (hi, page)]
+            codes += [to_lo, to_hi]
+    return dg.DirectedGraph.from_pair_relations(2 * pages + 4, pairs, codes)
+
+
+@pytest.mark.parametrize("name, g", [
+    ("complete K4 but one", _complete_but_one(4)),
+    ("complete K9 but one", _complete_but_one(9)),
+    ("complete K30 but one", _complete_but_one(30)),
+    ("reciprocal pages", _books(12, 2, 2)),
+    ("2-path pages", _books(12, 0, 1)),
+    ("arcs into the spine", _books(7, 1, 1)),
+])
+def test_census_equals_oracle_at_the_decode_boundary(name, g):
+    # a masked entry (i, j) counts common neighbours of two adjacent
+    # vertices, so it is at most dmax - 1; these graphs reach that for
+    # every kind g of the edge (i, j), the largest c in c * B^g
+    dmax = (g.out_degrees + g.in_degrees + g.recip_degrees).max()
+    a = dense_relations(g)
+    products = [a[x] @ a[y].T for x in dg.EDGE_KINDS for y in dg.EDGE_KINDS]
+    for gamma in dg.EDGE_KINDS:
+        assert max(p[a[gamma] > 0].max() for p in products) == dmax - 1, name
     assert dg.oracle_census(g) == dg.raw_census(g), name

@@ -126,6 +126,22 @@ def test_validation_errors():
     assert (np.diag(w.values) == 0).all()
 
 
+def test_weighted_matrix_checks_labels():
+    w = np.ones((3, 3)) - np.eye(3)
+    assert dg.weighted_matrix(w).labels == ("0", "1", "2")
+    assert dg.weighted_matrix(w, labels=[7, 8, 9]).labels == ("7", "8", "9")
+    for labels, message in [
+        (["a", "b"], "expected 3 labels, got 2"),
+        (["a", "b", "a"], "vertex labels must be unique"),
+        (["a", "b c", "d"], "invalid vertex label 'b c'"),
+        (["a", "b,", "d"], "invalid vertex label 'b,'"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            dg.weighted_matrix(w, labels=labels)
+    with pytest.raises(InputError, match="invalid vertex label 'r 0'"):
+        parse_weighted_csv("r 0,r 1,r 2\n0,1,1\n1,0,1\n1,1,0\n")
+
+
 def test_parse_weighted_csv_variants():
     body = "0,1.5,2\n1.5,0,3\n2,3,0\n"
     plain = parse_weighted_csv(body)
