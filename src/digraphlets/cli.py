@@ -213,7 +213,10 @@ def cmd_randomize(args) -> int:
 
 def cmd_prune(args) -> int:
     w = load_weighted_csv(args.input)
-    pruned, threshold = prune_weighted(w)
+    try:
+        pruned, threshold = prune_weighted(w)
+    except (InputError, UnprunableError) as exc:
+        raise type(exc)(f"{args.input}: {exc}") from exc
     out = _outdir(args)
     path = out / "pruned.edgelist"
     save_edge_list(pruned, path)

@@ -19,7 +19,6 @@ whitespace or a comma.  A reciprocal edge is written as its two arcs.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
@@ -29,7 +28,6 @@ from .errors import InputError, InvariantError
 from .fileio import read_parsed, write_text
 
 _VERTEX_PREFIX = "# vertex:"
-_LATE_DECLARATION = "vertex declarations must precede arcs"
 _BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
 
 
@@ -312,26 +310,28 @@ def parse_edge_list(text: str) -> DirectedGraph:
     surrounding whitespace; any other arc line splits on whitespace.
     Vertex declaration lines fix the label-to-index mapping; without
     them, vertices are the distinct endpoint labels in order of first
-    appearance.  Self-loops and duplicate arcs are dropped with a
+    appearance.  Declarations must come before the first arc between
+    two different vertices, and none may follow an arc read before any
+    declaration.  Self-loops and duplicate arcs are dropped with a
     warning.  Malformed lines raise InputError with the line number.
     ``to_edge_list_text`` writes the declarations followed by the arcs
     in ascending (src, dst) order.
 
-    The text is read in blocks of ``_BLOCK_LINES`` lines, each split and
-    mapped in bulk; line numbers are worked out only when a check fails.
+    A regular text is read in blocks of ``_BLOCK_LINES`` lines, each
+    split and mapped in bulk: every declaration comes before every arc
+    line, declared labels are unique and non-empty, every arc line holds
+    two tokens free of whitespace, and with declarations every token is
+    declared.  Saved edge lists are regular.  Any other text is read
+    again, one line at a time, up to its first faulty line.
     """
     lines = text.splitlines()
-    reader = _EdgeListReader()
-    for start in range(0, len(lines), _BLOCK_LINES):
-        reader.read_block(lines[start : start + _BLOCK_LINES], start + 1)
+    names, ends = _read_blocks(lines) or _read_lines(lines)
     del lines  # the graph build below needs none of the line strings
-    ends = np.concatenate([np.empty(0, np.int64), *reader.ends])
     src, dst = ends[0::2], ends[1::2]
     loop = src == dst
     loops = int(np.count_nonzero(loop))
     if loops:
         warnings.warn(f"dropped {loops} self-loop(s)", stacklevel=2)
-    names = reader.declared or reader.label_of
     n = len(names)
     src, dst = src[~loop], dst[~loop]
     keys = np.sort(src * n + dst)
@@ -345,128 +345,102 @@ def parse_edge_list(text: str) -> DirectedGraph:
     )
 
 
-def _arc_tokens(body: list[str]):
-    """Split arc lines (comments and surrounding whitespace removed).
-
-    Returns the index in ``body`` of the first line that does not hold
-    exactly two tokens (``len(body)`` if every line does) and the flat
-    token list of the lines before it.
-    """
-    m = len(body)
-    joined = "\n".join(body)
-    if "," in joined:
-        comma = np.fromiter(map(str.__contains__, body, repeat(",")), bool, m)
-    else:
-        comma = np.zeros(m, dtype=bool)
-    plain, commas = body, []
-    if comma.any():
-        plain = list(compress(body, (~comma).tolist()))
-        commas = list(compress(body, comma.tolist()))
-        joined = "\n".join(plain)
-    ntok = np.empty(m, dtype=np.int64)
-    ntok[~comma] = np.fromiter(map(len, map(str.split, plain)), np.int64, len(plain))
-    ntok[comma] = np.fromiter(map(str.count, commas, repeat(",")), np.int64, len(commas)) + 1
-    bad = np.flatnonzero(ntok != 2)
-    cut = int(bad[0]) if len(bad) else m
-    k = int(np.count_nonzero(comma[:cut]))  # comma lines before the cut
-    fields = list(map(str.strip, ",".join(commas[:k]).split(","))) if k else []
-    if "" in fields:
-        k = fields.index("") // 2
-        cut = int(np.flatnonzero(comma)[k])
-        fields = fields[: 2 * k]
-    words = joined.split()[: 2 * (cut - k)]
-    if not k:
-        return cut, words
-    tokens = np.empty((cut, 2), dtype=object)
-    tokens[~comma[:cut]] = np.array(words, dtype=object).reshape(-1, 2)
-    tokens[comma[:cut]] = np.array(fields, dtype=object).reshape(-1, 2)
-    return cut, tokens.ravel().tolist()
-
-
-class _EdgeListReader:
-    """Parser state carried from one block of edge-list lines to the next."""
-
-    def __init__(self):
-        self.declared: dict[str, int] = {}
-        self.label_of: dict[str, int] = {}  # first-appearance ids, no declarations
-        self.ends: list[np.ndarray] = []  # per block: src, dst, src, dst, ...
-        self.arc_read = False  # a non-loop arc between declared vertices
-
-    def read_block(self, lines: list[str], first: int) -> None:
-        """Parse ``lines``, the first of which is line ``first``.
-
-        Raises the InputError of the earliest failing line, with the
-        message a line-by-line reading would give.
-        """
-        content = [line.partition("#")[0].strip() for line in lines]
+def _read_blocks(lines: list[str]):
+    """Labels and arc ends (src, dst, src, dst, ...) of a regular text,
+    read in blocks of ``_BLOCK_LINES`` lines; False for any other text."""
+    declared: dict[str, int] = {}
+    label_of: dict[str, int] = {}  # first-appearance ids, no declarations
+    ends: list[np.ndarray] = []  # one array per block
+    arc_read = False
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        content = [line.partition("#")[0].strip() for line in block]
         has = np.fromiter(map(bool, content), bool, len(content))
         at = np.flatnonzero(has)
         decl_at = [
             i
             for i in np.flatnonzero(~has).tolist()
-            if lines[i].lstrip().startswith(_VERTEX_PREFIX)
+            if block[i].lstrip().startswith(_VERTEX_PREFIX)
         ]
-        labels = [lines[i].strip()[len(_VERTEX_PREFIX) :].strip() for i in decl_at]
-        cut, tokens = _arc_tokens(list(compress(content, has.tolist())))
-        # (block line index, rank on that line, message); the least is raised
-        errors = []
-        if cut < len(at):
-            i = int(at[cut])
-            errors.append((i, 0, f"expected two vertex tokens, got {lines[i]!r}"))
-        first_arc = int(at[0]) if len(at) else len(lines)
-        at = at[:cut]
-        if "" in labels:
-            errors.append((decl_at[labels.index("")], 0, "empty vertex label"))
-        if not self.declared and (
-            not decl_at or first_arc < decl_at[0] or self.label_of
-        ):
-            # No declarations: the first one after an arc line fails.
-            if decl_at:
-                errors.append((decl_at[0], 1, _LATE_DECLARATION))
-            self._raise_first(errors, first)
-            fresh = [t for t in dict.fromkeys(tokens) if t not in self.label_of]
-            self.label_of.update(zip(fresh, count(len(self.label_of))))
-            ends = np.fromiter(map(self.label_of.__getitem__, tokens), np.int64, len(tokens))
-        else:
-            ends = self._declared_ends(at, decl_at, labels, tokens, errors)
-            self._raise_first(errors, first)
-        self.ends.append(ends)
-
-    def _declared_ends(self, at, decl_at, labels, tokens, errors):
-        n0 = len(self.declared)
-        kept = len(labels)  # declarations before the first duplicate
-        if len(set(labels)) < kept or not self.declared.keys().isdisjoint(labels):
-            seen = set(self.declared)
-            for kept, lab in enumerate(labels):
-                if lab in seen:
-                    errors.append((decl_at[kept], 2, f"duplicate vertex label {lab!r}"))
-                    break
-                seen.add(lab)
-        self.declared.update(zip(labels[:kept], count(n0)))
-        ends = np.fromiter(map(self.declared.get, tokens, repeat(-1)), np.int64, len(tokens))
-        unknown = ends < 0
         if decl_at:
-            # A label declared in this block is known from its line on.
-            new = ends >= n0
-            unknown[new] = np.asarray(decl_at)[ends[new] - n0] > np.repeat(at, 2)[new]
-        bad = np.flatnonzero(unknown)
-        if len(bad):
-            k = int(bad[0])
-            errors.append((int(at[k // 2]), 0, f"undeclared vertex {tokens[k]!r}"))
-        # Declarations close at the first arc that is not a self-loop.
-        moves = [] if self.arc_read else np.flatnonzero(ends[0::2] != ends[1::2])
-        if self.arc_read or len(moves):
-            j = bisect_right(decl_at, int(at[moves[0]]) if len(moves) else -1)
-            if j < len(decl_at):
-                errors.append((decl_at[j], 1, _LATE_DECLARATION))
-            self.arc_read = True
-        return ends
+            if arc_read or (len(at) and at[0] < decl_at[-1]):
+                return False
+            n0 = len(declared)
+            labels = [block[i].strip()[len(_VERTEX_PREFIX) :].strip() for i in decl_at]
+            declared.update(zip(labels, count(n0)))
+            if len(declared) != n0 + len(labels) or "" in declared:
+                return False
+        arc_read = arc_read or len(at) > 0
+        tokens = _arc_tokens(list(compress(content, has.tolist())))
+        if tokens is None:
+            return False
+        if declared:
+            ids = np.fromiter(map(declared.get, tokens, repeat(-1)), np.int64, len(tokens))
+            if (ids < 0).any():
+                return False
+        else:
+            fresh = [t for t in dict.fromkeys(tokens) if t not in label_of]
+            label_of.update(zip(fresh, count(len(label_of))))
+            ids = np.fromiter(map(label_of.__getitem__, tokens), np.int64, len(tokens))
+        ends.append(ids)
+    return declared or label_of, np.concatenate([np.empty(0, np.int64), *ends])
 
-    @staticmethod
-    def _raise_first(errors, first: int) -> None:
-        if errors:
-            i, _, message = min(errors)
-            raise InputError(f"line {first + i}: {message}")
+
+def _arc_tokens(body: list[str]):
+    """Flat token list of arc lines (comments and surrounding whitespace
+    removed), or None unless every line holds two tokens and every comma
+    line splits alike on its comma and on whitespace."""
+    joined = "\n".join(body)
+    if "," in joined:
+        # one comma between two non-empty fields acts as a space
+        framed = f"\n{joined}\n"
+        if (
+            "\n," in framed
+            or ",\n" in framed
+            or max(map(str.count, body, repeat(","))) > 1
+        ):
+            return None
+        joined = joined.replace(",", " ")
+        body = joined.split("\n")
+    if not set(map(len, map(str.split, body))) <= {2}:
+        return None
+    return joined.split()
+
+
+def _read_lines(lines: list[str]):
+    """Labels and arc ends of any text, read one line at a time; the
+    first faulty line raises InputError with its line number."""
+    declared: dict[str, int] = {}
+    label_of: dict[str, int] = {}
+    ends: list[int] = []
+    moved = False  # an arc between two different vertices was read
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith(_VERTEX_PREFIX):
+            label = line[len(_VERTEX_PREFIX) :].strip()
+            if not label:
+                message = "empty vertex label"
+            elif moved or label_of:
+                message = "vertex declarations must precede arcs"
+            elif label in declared:
+                message = f"duplicate vertex label {label!r}"
+            else:
+                declared[label] = len(declared)
+                continue
+            raise InputError(f"line {lineno}: {message}")
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(",")] if "," in line else line.split()
+        if len(tokens) != 2 or "" in tokens:
+            raise InputError(f"line {lineno}: expected two vertex tokens, got {raw!r}")
+        names = declared or label_of
+        for token in tokens:
+            if declared and token not in declared:
+                raise InputError(f"line {lineno}: undeclared vertex {token!r}")
+            ends.append(names.setdefault(token, len(names)))
+        moved = moved or ends[-2] != ends[-1]
+    return declared or label_of, np.array(ends, dtype=np.int64)
 
 
 def load_edge_list(path) -> DirectedGraph:

@@ -81,7 +81,9 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
 
     The first row is taken as column labels when any of its cells is
     non-numeric; likewise the first column for row labels.  Row labels
-    win when both are present.
+    win when both are present.  A row with another cell count than the
+    first row below the header fails as ``row N``, N counting the
+    non-blank rows.
     """
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(
         cell.strip() for cell in row)]
@@ -93,6 +95,11 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     body = rows[1:] if has_header else rows
     if not body:
         raise InputError("weight matrix has a header but no rows")
+    for number, row in enumerate(body, start=1 + has_header):
+        if len(row) != len(body[0]):
+            raise InputError(
+                f"row {number}: expected {len(body[0])} cells, got {len(row)}"
+            )
     has_row_labels = any(not _is_number(r[0].strip()) for r in body)
     labels = None
     if has_row_labels:

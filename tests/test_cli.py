@@ -303,6 +303,19 @@ def test_prune_unprunable_exits_2(tmp_path):
     assert main(["prune", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("name, w, message", [
+    ("two.csv", np.ones((2, 2)) - np.eye(2), "pruning needs at least 3 vertices"),
+    ("block.csv", np.pad(np.ones((5, 5)) - np.eye(5), (0, 15)),
+     "no threshold satisfies the connectivity and degree criteria"),
+])
+def test_prune_names_the_file_in_whole_matrix_errors(tmp_path, capsys, name, w, message):
+    path = tmp_path / name
+    path.write_text("".join(",".join(f"{x:g}" for x in row) + "\n" for row in w))
+    assert main(["prune", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_cluster_pipes_from_census(random_file, tmp_path):
     out = tmp_path / "c"
     assert main(["census", str(random_file), "--out", str(out)]) == 0

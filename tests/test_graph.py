@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import digraphlets as dg
+from digraphlets import graph as graph_module
 from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
 
@@ -564,3 +565,36 @@ def test_writer_and_sorts_match_references(g, rnd):
     assert np.array_equal(src, src[order]) and np.array_equal(dst, dst[order])
     pairs, _ = g.connected_pairs()
     assert np.array_equal(pairs, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+
+
+def test_regular_texts_are_read_in_bulk(monkeypatch):
+    """Texts whose declarations all come first, with unique labels,
+    two tokens per arc line and (given declarations) only declared
+    tokens never reach the line-by-line reader."""
+    def fail(lines):
+        raise AssertionError("the line-by-line reader ran")
+
+    saved = dg.random_digraph(500, 0.5, seed=2).to_edge_list_text()
+    assert saved.count("\n") > _BLOCK_LINES
+    texts = [
+        saved,
+        saved.split("\n", 500)[-1] + "p q\nq p\np q\nq q\n",
+        "# vertex: a\n\n# a comment\r\n# vertex: b\r\n# vertex: c\na b\r\nc c\n",
+        "# header\r\n a , b \r\n\r\nb,c # tail\r\n  \r\nc,a\r\nc ,  a\r\n",
+    ]
+    monkeypatch.setattr(graph_module, "_read_lines", fail)
+    for text in texts:
+        assert isinstance(assert_parses_like_reference(text), dg.DirectedGraph)
+
+
+@pytest.mark.parametrize("line", [
+    "a b,", ", a b", "a,,b", "a , b ,", "a,b,c", "a b, c", "a,b c", "a\tb ,c",
+])
+@pytest.mark.parametrize("head", ["", "# vertex: a\n# vertex: b\n"])
+def test_comma_lines_that_split_unlike_whitespace(head, line):
+    """A comma line with an empty field, a second comma or whitespace
+    inside a field splits differently on its comma than on whitespace;
+    each must parse as the line-by-line reference does, before a
+    regular line and after one."""
+    assert_parses_like_reference(f"{head}{line}\nb a\n")
+    assert_parses_like_reference(f"{head}b a\n{line}\n")

@@ -166,6 +166,16 @@ def test_parse_weighted_csv_variants():
         parse_weighted_csv("a,b\n1,oops\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n0,1,2\n1,0\n2,1,0\n", "row 3: expected 3 cells, got 2"),
+    ("0,1,2\n\n1,0,2,3\n2,1,0\n", "row 2: expected 3 cells, got 4"),
+    (",a,b\na,0,1\nb,1\n", "row 3: expected 3 cells, got 2"),
+])
+def test_parse_weighted_csv_names_a_ragged_row(text, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_weighted_csv(text)
+
+
 def test_load_weighted_csv(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("0,2\n2,0\n")
