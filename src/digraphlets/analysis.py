@@ -22,6 +22,9 @@ from .errors import InputError
 # rows (10 GB of distances alone) would end in an out-of-memory kill.
 WARD_BUDGET_BYTES = 1 << 30
 
+# Default significance threshold on |r| for masks, cohorts and heatmaps.
+DEFAULT_THETA = 0.7
+
 __all__ = [
     "GraphletCorrelationMatrix",
     "CohortStats",
@@ -117,7 +120,7 @@ def gcm(sig, method: str = "pearson") -> GraphletCorrelationMatrix:
     return GraphletCorrelationMatrix(r, tuple(columns), constant, method)
 
 
-def significance_mask(matrix, theta: float = 0.7) -> np.ndarray:
+def significance_mask(matrix, theta: float = DEFAULT_THETA) -> np.ndarray:
     """Mark entries with r > theta as +1 and r < -theta as -1.
 
     Inequalities are strict, so r equal to the threshold is not
@@ -133,7 +136,7 @@ def significance_mask(matrix, theta: float = 0.7) -> np.ndarray:
     return mask
 
 
-def cohort_stats(gcms, theta: float = 0.7) -> CohortStats:
+def cohort_stats(gcms, theta: float = DEFAULT_THETA) -> CohortStats:
     """Entrywise percentages of GCMs beyond +/- theta across a cohort."""
     gcms = list(gcms)
     if not gcms:
@@ -192,10 +195,12 @@ class Dendrogram:
         return np.argsort(np.argsort(first))[inverse]
 
     def newick(self) -> str:
-        """Newick text with branch lengths from merge heights."""
+        """Newick text with branch lengths from merge heights; a label
+        holding whitespace or one of ``()[]':;,`` is written as ``'...'``
+        with each inner ``'`` doubled, any other label as it is."""
         n = self.n
         height = np.concatenate([np.zeros(n), self.merges[:, 2]])
-        texts = list(self.labels)
+        texts = list(map(_newick_label, self.labels))
         for s in range(n - 1):
             a, b = int(self.merges[s, 0]), int(self.merges[s, 1])
             h = self.merges[s, 2]
@@ -203,6 +208,12 @@ class Dendrogram:
             lb = f"{texts[b]}:{max(h - height[b], 0.0):.9g}"
             texts.append(f"({la},{lb})")
         return texts[-1] + ";"
+
+
+def _newick_label(label: str) -> str:
+    if any(c.isspace() or c in "()[]':;," for c in label):
+        return "'" + label.replace("'", "''") + "'"
+    return label
 
 
 def ward_cluster(sig, standardize: bool = True) -> Dendrogram:

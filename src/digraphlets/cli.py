@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import cohort_stats, gcm, significance_mask, ward_cluster
+from .analysis import DEFAULT_THETA, cohort_stats, gcm, significance_mask, ward_cluster
 from .census import aggregate, normalize, raw_census
 from .errors import InputError, InvariantError, UnprunableError
 from .fileio import (
@@ -33,7 +33,7 @@ from .fileio import (
 )
 from .graph import load_edge_list, randomize_directions, save_edge_list
 from .heatmap import render_cohort_heatmap, render_correlation_heatmap
-from .oracle import oracle_census
+from .oracle import DEFAULT_MAX_N, oracle_census
 from .pruning import load_weighted_csv, prune_weighted, skeleton_summary
 from .taxonomy import RAW_COLUMNS, SIGNATURE_COLUMNS
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, theta=False, fmt=False):
         p.add_argument("--out", default=".", help="output directory")
         if theta:
-            p.add_argument("--theta", type=_theta, default=0.7,
+            p.add_argument("--theta", type=_theta, default=DEFAULT_THETA,
                            help="significance threshold in (0, 1)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force census for diffing")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--cap", type=int, default=200,
+    p.add_argument("--cap", type=int, default=DEFAULT_MAX_N,
                    help="vertex-count cap for the cubic recount")
     common(p, fmt=True)
     p.set_defaults(func=cmd_oracle)

@@ -86,10 +86,9 @@ def write_table_csv(path, corner, columns, row_labels, values) -> None:
     write_text(path, table_csv(corner, columns, row_labels, values))
 
 
-def table_json(columns, row_labels, values, **meta):
+def table_json(columns, row_labels, values):
     body = [[round9(v) for v in row] for row in np.asarray(values)]
-    return {"columns": list(columns), "index": list(row_labels),
-            "values": body, **meta}
+    return {"columns": list(columns), "index": list(row_labels), "values": body}
 
 
 @dataclass(eq=False)
@@ -102,16 +101,19 @@ class SignatureTable:
 
 
 def parse_signature_csv(text: str) -> SignatureTable:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    """Table of a header row and per-vertex rows of finite numbers; an
+    error names the physical line its row ends on, blank lines counted."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if r]
     if len(rows) < 2:
         raise InputError("signature CSV needs a header and at least one row")
-    header = rows[0]
+    header = rows[0][1]
     if len(header) < 2:
         raise InputError("signature CSV header needs vertex plus value columns")
     columns = tuple(c.strip() for c in header[1:])
     labels = []
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise InputError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"

@@ -39,6 +39,23 @@ def _csr(n: int, keys: np.ndarray):
     return indptr, cols
 
 
+def _from_pairs(n: int, pairs: np.ndarray, codes: np.ndarray, labels) -> DirectedGraph:
+    """Graph of distinct canonical pairs (lo < hi) and their codes as
+    ``connected_pairs`` gives them: 0 lo->hi, 1 hi->lo, 2 reciprocal.
+    The callers draw valid pairs and pass checked labels, so nothing
+    here is checked again."""
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    up, down = lo * n + hi, hi * n + lo
+    rec = codes == 2
+    out_keys = np.sort(np.where(codes == 0, up, down)[~rec])
+    rec_keys = np.sort(np.concatenate([up[rec], down[rec]]))
+    return DirectedGraph(n, labels, *_csr(n, out_keys), *_csr(n, rec_keys))
+
+
+def _default_labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
+
+
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
@@ -65,9 +82,10 @@ class DirectedGraph:
     ``out_idx[out_ptr[i]:out_ptr[i+1]]`` are the pure out-neighbors of
     vertex ``i``, sorted ascending, and likewise for ``rec_*``.  The in
     relation is the transpose of the out one; ``kind_arrays('-')`` and
-    ``in_degrees`` derive it on each call.  Instances are built through
-    the ``from_*`` constructors, which keep the relations disjoint and
-    the reciprocal one symmetric.
+    ``in_degrees`` derive it on each call.  Graphs are built by
+    ``from_arcs``, the one public constructor, which checks its input and
+    keeps the relations disjoint and the reciprocal one symmetric; the
+    random generators below pack pairs they drew themselves.
     """
 
     n: int
@@ -78,43 +96,6 @@ class DirectedGraph:
     rec_idx: np.ndarray
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_pair_relations(cls, n, pairs, codes, labels=None) -> "DirectedGraph":
-        """Build from connected pairs and per-pair relation codes.
-
-        Parameters
-        ----------
-        n : int
-            Vertex count.
-        pairs : (k, 2) int array
-            Connected pairs with ``pairs[:, 0] < pairs[:, 1]``, no
-            duplicates.
-        codes : (k,) int array
-            0 for lo->hi, 1 for hi->lo, 2 for reciprocal.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-        if len(pairs) != len(codes):
-            raise InputError("pairs and codes length mismatch")
-        if n <= 0:
-            raise InputError("graph needs at least one vertex")
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        up, down = lo * n + hi, hi * n + lo
-        if len(pairs):
-            if lo.min() < 0 or hi.max() >= n:
-                raise InputError("vertex index out of range")
-            if (lo >= hi).any():
-                raise InputError("pairs must satisfy lo < hi")
-            keys = np.sort(up)
-            if (keys[1:] == keys[:-1]).any():
-                raise InputError("duplicate pair")
-            if codes.min() < 0 or codes.max() > 2:
-                raise InputError("relation codes must be 0, 1 or 2")
-        rec = codes == 2
-        out_keys = np.where(codes == 0, up, down)[~rec]
-        rec_keys = np.concatenate([up[rec], down[rec]])
-        return cls._from_keys(n, np.sort(out_keys), np.sort(rec_keys), labels)
 
     @classmethod
     def from_arcs(cls, arcs, n=None, labels=None) -> "DirectedGraph":
@@ -147,17 +128,8 @@ class DirectedGraph:
         src, dst = np.divmod(keys, n)
         reverse = np.sort(dst * n + src)
         mutual = np.take(reverse, np.searchsorted(reverse, keys), mode="clip") == keys
-        return cls._from_keys(n, keys[~mutual], keys[mutual], labels)
-
-    @classmethod
-    def _from_keys(cls, n, out_keys, rec_keys, labels) -> "DirectedGraph":
-        """Pack sorted, distinct arc keys ``src * n + dst`` of the pure
-        and the (symmetric) reciprocal relation."""
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = _check_labels(labels, n)
-        return cls(n, labels, *_csr(n, out_keys), *_csr(n, rec_keys))
+        labels = _default_labels(n) if labels is None else _check_labels(labels, n)
+        return cls(n, labels, *_csr(n, keys[~mutual]), *_csr(n, keys[mutual]))
 
     # -- inspection ---------------------------------------------------
 
@@ -463,9 +435,7 @@ def randomize_directions(graph: DirectedGraph, seed=None) -> DirectedGraph:
     pairs, _ = graph.connected_pairs()
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 3, size=len(pairs))
-    return DirectedGraph.from_pair_relations(
-        graph.n, pairs, codes, labels=graph.labels
-    )
+    return _from_pairs(graph.n, pairs, codes, graph.labels)
 
 
 def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
@@ -499,4 +469,4 @@ def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     codes = np.full(len(lo), 2, dtype=np.int64)
     codes[u2 < 1 - recip_prob] = 1
     codes[u2 < (1 - recip_prob) / 2] = 0
-    return DirectedGraph.from_pair_relations(n, np.column_stack([lo, hi]), codes)
+    return _from_pairs(n, np.column_stack([lo, hi]), codes, _default_labels(n))

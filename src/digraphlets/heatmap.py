@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import DEFAULT_THETA
+
 POSITIVE = (0xB2, 0x18, 0x2B)
 NEGATIVE = (0x21, 0x66, 0xAC)
 BASE = (0xF7, 0xF7, 0xF7)
@@ -72,7 +74,7 @@ def _document(width: int, height: int, parts: list[str], caption: str) -> str:
     return head + "".join(parts) + tail + "\n"
 
 
-def render_correlation_heatmap(matrix, theta: float = 0.7) -> str:
+def render_correlation_heatmap(matrix, theta: float = DEFAULT_THETA) -> str:
     """SVG for one correlation matrix, colored beyond +/- theta."""
     values = np.asarray(matrix.values, dtype=np.float64)
     names = list(matrix.columns)

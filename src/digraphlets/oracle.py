@@ -32,8 +32,11 @@ _TRIPLE_TYPES = tuple(itertools.product(range(3), repeat=3))
 _KIND_FROM_LO = (0, 1, 2)
 _KIND_FROM_HI = (1, 0, 2)
 
+# Largest vertex count the cubic recount accepts by default.
+DEFAULT_MAX_N = 200
 
-def oracle_census(g: DirectedGraph, max_n: int = 200) -> RawCensus:
+
+def oracle_census(g: DirectedGraph, max_n: int = DEFAULT_MAX_N) -> RawCensus:
     """Recount all raw quantities by visiting every vertex triple."""
     n = g.n
     if n > max_n:

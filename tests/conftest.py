@@ -34,7 +34,20 @@ def digraphs(draw, min_n=1, max_n=10):
     kept = [(p, c) for p, c in zip(all_pairs, states) if c >= 0]
     pairs = np.array([p for p, _ in kept], dtype=np.int64).reshape(-1, 2)
     codes = np.array([c for _, c in kept], dtype=np.int64)
-    return dg.DirectedGraph.from_pair_relations(n, pairs, codes)
+    return graph_of_pairs(n, pairs, codes)
+
+
+def graph_of_pairs(n, pairs, codes, labels=None) -> dg.DirectedGraph:
+    """``from_arcs`` of connected pairs (lo, hi) and their relation codes:
+    0 lo->hi, 1 hi->lo, 2 reciprocal (both arcs)."""
+    arcs = []
+    pairs = np.reshape(pairs, (-1, 2)).tolist()
+    for (lo, hi), code in zip(pairs, np.ravel(codes).tolist()):
+        if code != 1:
+            arcs.append((lo, hi))
+        if code != 0:
+            arcs.append((hi, lo))
+    return dg.DirectedGraph.from_arcs(arcs, n=n, labels=labels)
 
 
 def seeded_graph(k: int, lo=3, hi=40) -> dg.DirectedGraph:

@@ -350,6 +350,23 @@ def test_dendrogram_shape_and_newick():
         dg.ward_cluster(_table(np.ones((1, 3))))
 
 
+def test_newick_quotes_labels_that_would_break_the_tree():
+    labels = ("v(1)", "[2]", "a:b", "x;y", "it's", "a b", "v-2.5")
+    merges = np.array([
+        [0, 1, 2.45, 2],
+        [2, 7, 2.71, 3],
+        [3, 8, 4.32, 4],
+        [4, 5, 1.0, 2],
+        [10, 9, 5.0, 6],
+        [6, 11, 6.0, 7],
+    ])
+    tree = dg.Dendrogram(merges, labels)
+    assert tree.newick() == (
+        "(v-2.5:6,(('it''s':1,'a b':1):4,"
+        "('x;y':4.32,('a:b':2.71,('v(1)':2.45,'[2]':2.45):0.26):1.61):0.68):1);"
+    )
+
+
 @settings(deadline=None, max_examples=25)
 @given(arrays(np.float64, (7, 4), elements=st.floats(-50, 50)))
 def test_ward_heights_monotone_property(x):

@@ -6,7 +6,13 @@ import digraphlets as dg
 from digraphlets import taxonomy
 from digraphlets.errors import InputError, InvariantError
 
-from conftest import dense_relations, digraphs, seeded_graph, skeleton_counts
+from conftest import (
+    dense_relations,
+    digraphs,
+    graph_of_pairs,
+    seeded_graph,
+    skeleton_counts,
+)
 
 CYCLE_ROW = [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
 RECIP_ROW = [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
@@ -81,9 +87,7 @@ def test_relabeling_permutes_rows():
     codes = codes.copy()
     swap = flipped & (codes < 2)
     codes[swap] = 1 - codes[swap]
-    h = dg.DirectedGraph.from_pair_relations(
-        g.n, np.column_stack([lo, hi]), codes
-    )
+    h = graph_of_pairs(g.n, np.column_stack([lo, hi]), codes)
     a = dg.signature_matrix(g).values
     b = dg.signature_matrix(h).values
     assert np.array_equal(b[perm], a)

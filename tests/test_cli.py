@@ -12,6 +12,7 @@ import pytest
 import digraphlets as dg
 from digraphlets import analysis, cli, pruning
 from digraphlets.cli import main
+from digraphlets.fileio import parse_signature_csv
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
 
@@ -359,6 +360,20 @@ def test_cluster_names_the_file_in_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 3: non-numeric cell")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex,a,b\n\n\n0,1,2\n\n1,3\n", "line 6: expected 3 cells, got 2"),
+    ("vertex,a\n\n\nx,1\ny,oops\n", "line 5: non-numeric cell: "),
+    ("vertex,a,b\r\n\r\n0,1,2\r\n\r\n\r\n1,nan,3\r\n", "line 6: non-finite cell"),
+])
+def test_signature_csv_errors_name_the_physical_line(tmp_path, capsys, text, message):
+    with pytest.raises(dg.InputError, match=f"^{message}"):
+        parse_signature_csv(text)
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode())
+    assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 def test_cluster_over_the_ward_budget_exits_2(random_file, tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from digraphlets import graph as graph_module
 from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
 
-from conftest import digraphs
+from conftest import dense_relations, digraphs, graph_of_pairs
 
 _VERTEX_PREFIX = "# vertex:"
 
@@ -269,7 +269,7 @@ def test_invalid_vertex_label_is_named(bad):
         assert str(info.value) == f"invalid vertex label {bad!r}"
     # one token per label overall, yet '' and 'a b' are both invalid
     with pytest.raises(InputError, match="^invalid vertex label ''$"):
-        dg.DirectedGraph.from_pair_relations(3, [(0, 1)], [2], labels=("x", "", "a b"))
+        graph_of_pairs(3, [(0, 1)], [2], labels=("x", "", "a b"))
 
 
 def test_label_count_and_uniqueness_messages():
@@ -379,39 +379,61 @@ def test_load_error_names_file(tmp_path):
 @settings(deadline=None, max_examples=60)
 @given(digraphs(max_n=9), st.integers(0, 2**32 - 1))
 def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(g, seed):
-    # g comes from from_pair_relations; rebuild it from its arcs, some
-    # repeated, in random order (mutual pairs appear as two arcs)
+    # rebuild g from its arcs, some repeated, in random order (mutual
+    # pairs appear as two arcs); the dense reference reads the pure and
+    # reciprocal relations straight off the arc list's 0/1 matrix
     src, dst = g.arcs()
     arcs = np.column_stack([src, dst])
     rng = np.random.default_rng(seed)
     extra = arcs[rng.integers(0, len(arcs), size=len(arcs))] if len(arcs) else arcs
     arcs = np.concatenate([arcs, extra])
     arcs = arcs[rng.permutation(len(arcs))]
-    assert dg.DirectedGraph.from_arcs(arcs, n=g.n) == g
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[arcs[:, 0], arcs[:, 1]] = True
+    built = dg.DirectedGraph.from_arcs(arcs, n=g.n)
+    mats = dense_relations(built)
+    assert np.array_equal(mats["+"], a & ~a.T)
+    assert np.array_equal(mats["-"], (a & ~a.T).T)
+    assert np.array_equal(mats["o"], a & a.T)
+    assert built == g
 
 
 def test_from_arcs_empty_list():
     for arcs in ([], np.empty((0, 2), dtype=np.int64)):
         g = dg.DirectedGraph.from_arcs(arcs, n=3)
-        assert g == dg.DirectedGraph.from_pair_relations(3, [], [])
+        assert g == graph_of_pairs(3, [], [])
+        assert g == dg.random_digraph(3, 0.0, seed=0)
         assert g.num_connected_pairs == 0
         g.validate()
 
 
-def test_from_pair_relations_validation():
-    build = dg.DirectedGraph.from_pair_relations
-    with pytest.raises(InputError, match="duplicate pair"):
-        build(4, [(0, 1), (1, 2), (2, 3), (0, 1)], [0, 1, 2, 2])
-    with pytest.raises(InputError, match="duplicate pair"):
-        build(3, [(0, 2), (0, 2)], [0, 0])
-    with pytest.raises(InputError, match="lo < hi"):
-        build(3, [(1, 0)], [0])
-    with pytest.raises(InputError, match="out of range"):
-        build(3, [(0, 3)], [0])
-    with pytest.raises(InputError, match="relation codes"):
-        build(3, [(0, 1)], [3])
-    with pytest.raises(InputError, match="length mismatch"):
-        build(3, [(0, 1)], [0, 1])
+@settings(deadline=None, max_examples=100)
+@given(
+    digraphs(max_n=9),
+    st.sampled_from(["as drawn", "edgeless", "all reciprocal"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 1),
+    st.sampled_from([0.0, 1 / 3, 1.0]),
+)
+def test_generators_build_what_from_arcs_builds(g, shape, seed, p, recip):
+    """randomize_directions and random_digraph pack their pairs without
+    from_arcs' checks; each graph must still be valid and equal to
+    from_arcs of its own arcs and labels."""
+    labels = [f"v{i}" for i in reversed(range(g.n))]
+    pairs, codes = g.connected_pairs()
+    if shape == "edgeless":
+        pairs, codes = pairs[:0], codes[:0]
+    elif shape == "all reciprocal":
+        codes = np.full(len(codes), 2)
+    g = graph_of_pairs(g.n, pairs, codes, labels=labels)
+    drawn = dg.random_digraph(g.n, p, seed, recip)
+    for made in (dg.randomize_directions(g, seed), drawn):
+        made.validate()
+        rebuilt = dg.DirectedGraph.from_arcs(
+            np.column_stack(made.arcs()), n=made.n, labels=made.labels
+        )
+        assert made == rebuilt
+    assert dg.randomize_directions(g, seed).labels == tuple(labels)
 
 
 _LABEL = st.sampled_from(["a", "b", "c", "d"])
@@ -558,7 +580,7 @@ def test_state_carries_across_blocks():
 def test_writer_and_sorts_match_references(g, rnd):
     labels = [f"v{i}" for i in range(g.n)]
     rnd.shuffle(labels)
-    g = dg.DirectedGraph.from_pair_relations(g.n, *g.connected_pairs(), labels=labels)
+    g = graph_of_pairs(g.n, *g.connected_pairs(), labels=labels)
     assert g.to_edge_list_text() == reference_text(g)
     src, dst = g.arcs()
     order = np.lexsort((dst, src))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import digraphlets as dg
 from digraphlets.errors import InputError
 
-from conftest import dense_relations, digraphs, seeded_graph
+from conftest import dense_relations, digraphs, graph_of_pairs, seeded_graph
 
 
 def test_oracle_three_cycle(three_cycle):
@@ -50,7 +50,7 @@ def _skeleton_graph(n, p, seed, codes_from):
     keep = rng.random(len(lo)) < p
     pairs = np.column_stack([lo[keep], hi[keep]])
     codes = rng.choice(codes_from, size=len(pairs))
-    return dg.DirectedGraph.from_pair_relations(n, pairs, codes)
+    return graph_of_pairs(n, pairs, codes)
 
 
 def _wheel(spokes):
@@ -64,7 +64,7 @@ def _wheel(spokes):
         nxt = k % spokes + 1
         pairs.append((min(k, nxt), max(k, nxt)))
         codes.append((2 * k // 3) % 3)
-    return dg.DirectedGraph.from_pair_relations(spokes + 1, pairs, codes)
+    return graph_of_pairs(spokes + 1, pairs, codes)
 
 
 @pytest.mark.parametrize("name, g", [
@@ -84,7 +84,7 @@ def _complete_but_one(n):
     """Complete reciprocal graph on n vertices with pair (0, 1) a pure arc."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     codes = [0 if (i, j) == (0, 1) else 2 for i, j in pairs]
-    return dg.DirectedGraph.from_pair_relations(n, pairs, codes)
+    return graph_of_pairs(n, pairs, codes)
 
 
 def _books(pages, to_lo, to_hi):
@@ -99,7 +99,7 @@ def _books(pages, to_lo, to_hi):
         for page in range(start + 2, start + 2 + pages):
             pairs += [(lo, page), (hi, page)]
             codes += [to_lo, to_hi]
-    return dg.DirectedGraph.from_pair_relations(2 * pages + 4, pairs, codes)
+    return graph_of_pairs(2 * pages + 4, pairs, codes)
 
 
 @pytest.mark.parametrize("name, g", [
