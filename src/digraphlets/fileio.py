@@ -118,7 +118,10 @@ def parse_signature_csv(text: str) -> SignatureTable:
             raise InputError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
-        labels.append(row[0].strip())
+        label = row[0].strip()
+        if "\n" in label or "\r" in label:
+            raise InputError(f"line {lineno}: label holds a line break")
+        labels.append(label)
         try:
             cells = [float(c) for c in row[1:]]
         except ValueError as exc:

@@ -10,9 +10,9 @@ hold after pruning:
   (ii) every vertex keeps total degree (out + in + reciprocal, a
        reciprocal edge counted once) of at least 2 * ln(n).
 
-Both criteria only lose arcs as t grows, so feasibility is monotone and
-the maximal threshold is found by binary search over the distinct
-weight magnitudes.
+Both criteria only lose arcs as t grows, so each holds exactly below a
+bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), the
+weight at which Kruskal's maximum spanning forest joins 99% for (i).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import InputError, UnprunableError
 from .fileio import read_parsed
@@ -125,14 +123,23 @@ def load_weighted_csv(path) -> WeightedMatrix:
     return read_parsed(path, parse_weighted_csv)
 
 
-def _feasible(strength: np.ndarray, t: float, min_degree: float) -> bool:
-    arcs = strength > t
-    skeleton = arcs | arcs.T
-    if (skeleton.sum(axis=1) < min_degree).any():
-        return False
-    _, comp = csgraph.connected_components(skeleton, directed=False)
-    largest = np.bincount(comp).max()
-    return largest >= CONNECTIVITY * len(strength)
+def _largest_sizes(n: int, pairs):
+    """Yield the largest component size as each (a, b) pair joins."""
+    parent = list(range(n))
+    size = [1] * n
+    largest = 1
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            largest = max(largest, size[a])
+        yield largest
 
 
 def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
@@ -146,44 +153,36 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     """
     if not isinstance(w, WeightedMatrix):
         w = weighted_matrix(np.asarray(w, dtype=np.float64))
-    if w.n < 3:
+    n = w.n
+    if n < 3:
         raise InputError("pruning needs at least 3 vertices")
     strength = np.abs(w.values)
     np.fill_diagonal(strength, 0.0)
-    min_degree = DEGREE_FACTOR * math.log(w.n)
-    candidates = np.concatenate([[0.0], np.unique(strength[strength > 0])])
-    if not _feasible(strength, 0.0, min_degree):
-        raise UnprunableError(
-            "no threshold satisfies the connectivity and degree criteria"
-        )
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _feasible(strength, candidates[mid], min_degree):
-            lo = mid
-        else:
-            hi = mid - 1
-    t = float(candidates[lo])
-    src, dst = np.nonzero(strength > t)
-    graph = DirectedGraph.from_arcs(
-        np.column_stack([src, dst]), n=w.n, labels=w.labels
-    )
+    sym = np.maximum(strength, strength.T)
+    # degree: row i keeps k neighbours exactly while t < its k-th largest
+    k = math.ceil(DEGREE_FACTOR * math.log(n))
+    t_deg = np.partition(sym, n - k, axis=1)[:, n - k].min()
+    # connectivity: every pair heavier than the joining one is already in
+    rows, cols = np.triu_indices(n, 1)
+    weights = sym[rows, cols]
+    order = np.argsort(-weights)[: np.count_nonzero(weights)]
+    sizes = _largest_sizes(n, zip(rows[order].tolist(), cols[order].tolist()))
+    t_conn = next((t for t, size in zip(weights[order].tolist(), sizes)
+                   if size >= CONNECTIVITY * n), 0.0)
+    bound = min(t_deg, t_conn)
+    if bound <= 0:
+        raise UnprunableError("no threshold satisfies the connectivity and "
+                              "degree criteria")
+    t = float(strength[strength < bound].max())  # never empty: the diagonal is 0
+    graph = DirectedGraph.from_arcs(np.argwhere(strength > t), n=n, labels=w.labels)
     return graph, t
 
 
 def skeleton_summary(graph: DirectedGraph) -> dict:
     """Connectivity facts about a graph's undirected skeleton."""
-    degrees = np.asarray(
-        graph.out_degrees + graph.in_degrees + graph.recip_degrees
-    )
+    degrees = graph.out_degrees + graph.in_degrees + graph.recip_degrees
     pairs, _ = graph.connected_pairs()
-    # one entry per pair: directed=False follows it both ways
-    skeleton = sparse.coo_matrix(
-        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])),
-        shape=(graph.n, graph.n),
-    )
-    _, comp = csgraph.connected_components(skeleton, directed=False)
-    largest = int(np.bincount(comp).max())
+    largest = max(_largest_sizes(graph.n, pairs.tolist()), default=1)
     return {
         "largest_component_fraction": largest / graph.n,
         "min_total_degree": int(degrees.min()),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import digraphlets as dg
-from digraphlets import analysis, cli, pruning
+from digraphlets import analysis, cli
 from digraphlets.cli import main
 from digraphlets.fileio import parse_signature_csv
 
@@ -285,7 +285,7 @@ def test_prune_rejects_bad_labels_before_pruning(tmp_path, monkeypatch, capsys):
     def never(*args):
         raise AssertionError("the threshold search ran")
 
-    monkeypatch.setattr(pruning, "_feasible", never)
+    monkeypatch.setattr(cli, "prune_weighted", never)
     n = 8
     w = np.ones((n, n)) - np.eye(n)
     path = tmp_path / "w.csv"
@@ -351,6 +351,18 @@ def test_cluster_rejects_non_finite_cell(tmp_path, capsys):
     assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "line 3" in capsys.readouterr().err
     assert not (tmp_path / "x" / "dendrogram.newick").exists()
+
+
+def test_cluster_rejects_a_label_with_a_line_break(tmp_path, capsys):
+    # leaf_order.txt holds one label per line, so a quoted multi-line
+    # label would read back as two vertices
+    path = tmp_path / "sig.csv"
+    path.write_text('vertex,a,b\n"x\ny",1,2\nz,3,5\nw,0,1\n')
+    assert main(["cluster", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: label holds a line break\n"
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(dg.InputError, match="^line 2: label holds a line break$"):
+        parse_signature_csv('vertex,a\n"x\ry",1\n')
 
 
 def test_cluster_names_the_file_in_parse_errors(tmp_path, capsys):
@@ -449,9 +461,10 @@ def test_module_entry_point(cycle_file, tmp_path):
     assert (tmp_path / "m" / "signature.csv").exists()
 
 
-def test_cli_import_skips_scipy_stats_and_cluster():
-    code = ("import sys, digraphlets.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'cluster'])))")
+def test_cli_import_skips_scipy_stats_cluster_and_csgraph():
+    skipped = ["scipy.stats", "scipy.cluster", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    code = ("import sys, digraphlets.cli; print(sorted(m for m in sys.modules if any("
+            f"m == s or m.startswith(s + '.') for s in {skipped!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import digraphlets as dg
 from digraphlets.errors import InputError, UnprunableError
@@ -23,6 +25,33 @@ def test_uniform_weights_keep_everything():
     assert degree.min() >= 2 * math.log(116)
 
 
+def _dense_feasible(w, t):
+    """Both pruning criteria on the dense skeleton kept at threshold t."""
+    n = len(w)
+    arcs = np.abs(w) > t
+    skel = arcs | arcs.T
+    if not (skel.sum(axis=1) >= 2.0 * math.log(n)).all():
+        return False
+    return _largest_component(skel) >= 0.99 * n
+
+
+def _reference_threshold(w):
+    """The largest of 0 and the distinct |w_ij| that passes both criteria
+    on the dense skeleton, or None when none does."""
+    strength = np.abs(w)
+    candidates = np.concatenate([[0.0], np.unique(strength[strength > 0])])
+    return next((c for c in candidates[::-1] if _dense_feasible(w, c)), None)
+
+
+def assert_prunes_like_reference(w):
+    want = _reference_threshold(w)
+    if want is None:
+        with pytest.raises(UnprunableError):
+            dg.prune_weighted(w)
+    else:
+        assert dg.prune_weighted(w)[1] == want
+
+
 def test_threshold_is_maximal():
     # a strong core on 12 vertices plus weaker ring arcs; the maximal
     # threshold must sit at the largest weight whose removal would
@@ -34,22 +63,39 @@ def test_threshold_is_maximal():
     weak = 0.3
     w[0, 1] = weak
     g, t = dg.prune_weighted(w)
-    strengths = np.abs(w)[np.abs(w) > 0]
-    candidates = np.concatenate([[0.0], np.unique(strengths)])
-    feasible = []
-    floor = 2.0 * math.log(n)
-    for cand in candidates:
-        arcs = np.abs(w) > cand
-        skel = arcs | arcs.T
-        ok_deg = (skel.sum(axis=1) >= floor).all()
-        comp = _largest_component(skel)
-        feasible.append(ok_deg and comp >= 0.99 * n)
-    best = candidates[max(i for i, f in enumerate(feasible) if f)]
-    assert t == best
-    later = candidates[candidates > t]
+    assert t == _reference_threshold(w)
+    later = np.abs(w)[np.abs(w) > t]
     if len(later):
-        idx = int(np.searchsorted(candidates, later[0]))
-        assert not feasible[idx]
+        assert not _dense_feasible(w, later.min())
+
+
+@st.composite
+def weight_matrices(draw):
+    """Zero-diagonal weight matrices: normal, integer with heavy ties,
+    sparse, or two blocks joined by weak pairs; the sizes include
+    12/13, 20/21 and 33/34, where 2 ln n crosses an integer."""
+    n = draw(st.one_of(st.integers(3, 24), st.sampled_from([12, 13, 20, 21, 33, 34])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "sparse", "blocks"]))
+    if kind == "ties":
+        w = rng.integers(-3, 4, size=(n, n)).astype(float)
+    else:
+        w = rng.normal(size=(n, n))
+    if kind == "sparse":
+        w *= rng.random((n, n)) < draw(st.sampled_from([0.1, 0.25, 0.5]))
+    if kind == "blocks":
+        block = rng.integers(0, 2, size=n)
+        weak = rng.uniform(0, 0.01, (n, n)) * (rng.random((n, n)) < draw(
+            st.sampled_from([0.0, 0.3, 1.0])))
+        w = np.where(block[:, None] == block[None, :], w, weak)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_matrices())
+def test_threshold_matches_dense_reference(w):
+    assert_prunes_like_reference(w)
 
 
 def _largest_component(skel):
