@@ -14,36 +14,24 @@ geometric triangle through i is counted once per ordered assignment of
 its other two vertices, so shape-symmetric types come out doubled (the
 all-reciprocal triangle gives T(o,o,o) = 2 per vertex).
 
-The counting is linear algebra over the three 0/1 relation matrices.
-Transposing an adjacency flips pure arc direction and fixes reciprocal
-edges, so A_b^T = A_mirror(b), and expanding |S_i^a intersect S_j^b| as
-sum_h A_a[i, h] A_b[j, h] shows it is entry (i, j) of the product
-P_ab = A_a @ A_mirror(b), the transpose of P_ba.  With C = A_g .* P_ab:
-
-    L(a, b)            column = A_a @ d^mirror(b) - [a == b] * d^a
-    T(a, b, g)         column = row sums of C
-    T(b, a, mirror(g)) column = column sums of C
-
-the last because j in S_i^g exactly when i in S_j^mirror(g).  So only
-the 6 products with WEDGE_INDEX[(a, b)] <= WEDGE_INDEX[(b, a)] are
-built, each masked once by the kind-coded skeleton A_+ + B A_- + B^2 A_o
-with B = dmax + 1, which keeps only the entries whose ends are adjacent.
-As c = P_ab[i, j] <= dmax < B, a kept entry v = c B^g decodes to the
-kind g = [v >= B] + [v >= B^2] of edge (i, j) and c = v // B^g; one
-bincount over row*3 + g and one over col*3 + g fill the six columns.
-
-The overflow guard n dmax^2 < 2^62, with dmax < n, bounds every coded
-entry by dmax (dmax + 1)^2 <= 2 n dmax^2 < 2^63, so products and masks
-stay in int64, and every per-vertex count by dmax^2 < 2^53, so the
-float64 bincount sums are exact.
+Summing over the middle vertex h (j = i only when a = b) gives
+L_i(a, b) = sum over h in S_i^a of d_h^mirror(b) - [a == b] d_i^a.
+Triangles are listed once each (Chiba and Nishizeki 1985; Latapy 2008):
+each pair is oriented from its lower to its higher end in (total
+degree, id) order, each edge is tried with the later edges of its
+tail's row, and the closing edge is looked up among the sorted keys.  A
+tail has at most sqrt(2m) oriented edges, so at most m sqrt(2m) tries
+are made, BLOCK at a time, which bounds memory beyond O(n + m) whatever
+the degrees.  L is summed in float64 and is at most dmax^2, so
+dmax^2 >= 2^53 is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError, InvariantError
 from .graph import DirectedGraph
@@ -84,13 +72,9 @@ class RawCensus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RawCensus):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and np.array_equal(self.degrees, other.degrees)
-            and np.array_equal(self.wedge_totals, other.wedge_totals)
-            and np.array_equal(self.wedges, other.wedges)
-            and np.array_equal(self.triangles, other.triangles)
-        )
+        return self.labels == other.labels and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("degrees", "wedge_totals", "wedges", "triangles"))
 
 
 @dataclass(eq=False)
@@ -109,9 +93,7 @@ class SignatureMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignatureMatrix):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(
-            self.values, other.values
-        )
+        return self.labels == other.labels and np.array_equal(self.values, other.values)
 
 
 @dataclass(eq=False)
@@ -136,50 +118,68 @@ class NormalizedSignatureMatrix:
         return self.zero_blocks.all(axis=1)
 
 
-def _relation_matrices(g: DirectedGraph) -> dict[str, sparse.csr_matrix]:
-    mats = {}
-    for kind in EDGE_KINDS:
-        ptr, idx = g.kind_arrays(kind)
-        data = np.ones(len(idx), dtype=np.int64)
-        mats[kind] = sparse.csr_matrix((data, idx, ptr), shape=(g.n, g.n))
-    return mats
+def _assignment_table() -> np.ndarray:
+    """(6, 27): entry [r, 9p + 3q + s] is the column that ordered
+    assignment r adds to its vertex (t, t, u, u, v, v)[r] of t < u < v
+    when edges t-u, t-v, u-v have kinds p, q, s seen from t, t and u."""
+    table = np.zeros((6, 27), dtype=np.int64)
+    for code, (p, q, s) in enumerate(product(EDGE_KINDS, repeat=3)):
+        kind = {(0, 1): p, (0, 2): q, (1, 2): s,
+                (1, 0): MIRROR[p], (2, 0): MIRROR[q], (2, 1): MIRROR[s]}
+        for r, (i, j, h) in enumerate(permutations(range(3))):
+            table[r, code] = TRIANGLE_INDEX[(kind[i, h], kind[j, h], kind[i, j])]
+    return table
+
+
+_ASSIGNMENTS = _assignment_table()
+_MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
+BLOCK = 1 << 16  # edge pairs tried at once by the triangle listing
 
 
 def raw_census(g: DirectedGraph) -> RawCensus:
     """Count all 39 raw quantities for every vertex, exactly."""
     n = g.n
-    degrees = np.column_stack(
-        [g.out_degrees, g.in_degrees, g.recip_degrees]
-    ).astype(np.int64)
+    degrees = np.column_stack([g.out_degrees, g.in_degrees, g.recip_degrees]).astype(np.int64)
     dmax = int(degrees.sum(axis=1).max(initial=0))
-    if n * dmax * dmax >= 1 << 62:
-        raise InvariantError("counts could overflow 64-bit integers")
-    mats = _relation_matrices(g)
-    base = dmax + 1
-    coded = sum(base**k * mats[kind] for k, kind in enumerate(EDGE_KINDS))
-    far = degrees[:, [EDGE_KINDS.index(MIRROR[beta]) for beta in EDGE_KINDS]]
+    if dmax * dmax >= 1 << 53:
+        raise InvariantError("counts could exceed the exact range of float64")
+    pairs, code = g.connected_pairs()  # code is the kind of hi seen from lo
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    slot = np.concatenate([lo * 3 + code, hi * 3 + _MIRROR_CODE[code]])
+    far = degrees[np.concatenate([hi, lo])][:, _MIRROR_CODE]
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
-    triangles = np.zeros((n, 27), dtype=np.int64)
-    for alpha in EDGE_KINDS:
-        w_cols = [WEDGE_INDEX[(alpha, beta)] for beta in EDGE_KINDS]
-        wedge_totals[:, w_cols] = mats[alpha] @ far
+    for b, beta in enumerate(EDGE_KINDS):
+        w_cols = [WEDGE_INDEX[(alpha, beta)] for alpha in EDGE_KINDS]
+        wedge_totals[:, w_cols] = np.bincount(slot, far[:, b], 3 * n).reshape(n, 3)
     wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
-    for (alpha, beta), w_col in WEDGE_INDEX.items():
-        if w_col > WEDGE_INDEX[(beta, alpha)]:
-            continue  # its product is the transpose of the (beta, alpha) one
-        closed = coded.multiply(mats[alpha] @ mats[MIRROR[beta]]).tocoo()
-        gamma = (closed.data >= base).astype(np.int64) + (closed.data >= base**2)
-        count = closed.data // base**gamma
-        rows = [TRIANGLE_INDEX[(alpha, beta, k)] for k in EDGE_KINDS]
-        cols = [TRIANGLE_INDEX[(beta, alpha, MIRROR[k])] for k in EDGE_KINDS]
-        by_row = np.bincount(closed.row * 3 + gamma, count, minlength=3 * n)
-        by_col = np.bincount(closed.col * 3 + gamma, count, minlength=3 * n)
-        triangles[:, rows] = by_row.reshape(n, 3)
-        triangles[:, cols] = by_col.reshape(n, 3)
+    vertex = np.argsort(degrees.sum(axis=1), kind="stable")  # rank -> vertex
+    rank = np.argsort(vertex)
+    up = rank[lo] < rank[hi]
+    keys = np.where(up, rank[lo] * n + rank[hi], rank[hi] * n + rank[lo])
+    order = np.argsort(keys)
+    keys, kinds = keys[order], np.where(up, code, _MIRROR_CODE[code])[order]
+    tails, heads = np.divmod(keys, n)
+    later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(len(keys)) - 1
+    bounds = np.cumsum(np.append(0, later))  # edge e makes tries bounds[e]:bounds[e+1]
+    triangles = np.zeros(27 * n, dtype=np.int64)  # (n, 27), flattened
+    for c0 in range(0, bounds[-1], BLOCK):
+        c1 = min(c0 + BLOCK, bounds[-1])
+        e0, e1 = np.searchsorted(bounds, [c0, c1 - 1], side="right") - 1
+        span = np.arange(e0, e1 + 1)
+        e = np.repeat(span, np.minimum(bounds[span + 1], c1) - np.maximum(bounds[span], c0))
+        f = np.arange(c0, c1) - bounds[e] + e + 1
+        close = heads[e] * n + heads[f]
+        at = np.searchsorted(keys, close).clip(max=len(keys) - 1)
+        hit = keys[at] == close
+        e, f, at = e[hit], f[hit], at[hit]
+        ends = vertex[np.stack([tails[e], heads[e], heads[f]])]
+        code3 = 9 * kinds[e] + 3 * kinds[f] + kinds[at]
+        cols = ends[[0, 0, 1, 1, 2, 2]] * 27 + _ASSIGNMENTS[:, code3]
+        triangles += np.bincount(cols.ravel(), minlength=27 * n)
     wedges = wedge_totals - triangles.reshape(n, 9, 3).sum(axis=2)
     if (wedges < 0).any():
         raise InvariantError("induced wedge count went negative")
-    return RawCensus(g.labels, degrees, wedge_totals, wedges, triangles)
+    return RawCensus(g.labels, degrees, wedge_totals, wedges, triangles.reshape(n, 27))
 
 
 def aggregate(raw: RawCensus) -> SignatureMatrix:

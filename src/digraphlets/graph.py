@@ -4,10 +4,9 @@ A pair of mutual arcs i->j and j->i is collapsed into one reciprocal
 edge, so every connected vertex pair sits in exactly one of three
 relations: pure out, pure in, or reciprocal.  Self-loops are not
 representable.  Only the out and reciprocal relations are stored, each
-in CSR layout (indptr plus column indices sorted within each row), which
-downstream counting code can hand to sparse matrix constructors without
-copying; the in relation is the transpose of the out one and is derived
-where it is read.
+in CSR layout (indptr plus column indices sorted within each row); the
+in relation is the transpose of the out one and is derived where it is
+read.
 
 The edge-list text format is line oriented.  Lines of the form
 ``# vertex: LABEL`` declare vertices in index order (this is how

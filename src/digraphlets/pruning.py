@@ -107,7 +107,7 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
         header = rows[0][1:] if len(rows[0]) == len(body[0]) + 1 else rows[0]
         labels = tuple(c.strip() for c in header)
     try:
-        values = np.array([[float(c) for c in r] for r in body], dtype=np.float64)
+        values = np.array(body, dtype=np.float64)
     except ValueError as exc:
         raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
     if values.ndim != 2 or values.shape[0] != values.shape[1]:

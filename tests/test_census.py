@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import digraphlets as dg
-from digraphlets import taxonomy
+from digraphlets import census, taxonomy
 from digraphlets.errors import InputError, InvariantError
+from digraphlets.taxonomy import EDGE_KINDS, MIRROR, TRIANGLE_INDEX, WEDGE_INDEX
 
 from conftest import (
     dense_relations,
@@ -231,3 +234,88 @@ def test_per_type_columns_above_oracle_cap():
         for gamma in dg.EDGE_KINDS:
             t_col = taxonomy.TRIANGLE_INDEX[(alpha, beta, gamma)]
             assert np.array_equal(raw.triangles[:, t_col], (p * a[gamma]).sum(axis=1))
+
+
+def spgemm_census(g) -> dg.RawCensus:
+    """The census by kind-masked sparse matrix products, written apart
+    from the triangle listing: the reference above the oracle's cap.
+
+    With P_ab = A_a @ A_mirror(b), entry (i, j) is |S_i^a intersect S_j^b|
+    and P_ba is its transpose.  Masking P_ab by the kind-coded skeleton
+    A_+ + B A_- + B^2 A_o, B = dmax + 1, keeps the entries of adjacent
+    pairs as c B^g, g the kind of (i, j) and c <= dmax < B; its row sums
+    fill T(a, b, g) and its column sums T(b, a, mirror(g)).
+    """
+    n = g.n
+    degrees = np.column_stack([g.out_degrees, g.in_degrees, g.recip_degrees]).astype(np.int64)
+    mats = {}
+    for kind in EDGE_KINDS:
+        ptr, idx = g.kind_arrays(kind)
+        mats[kind] = sparse.csr_matrix((np.ones(len(idx), dtype=np.int64), idx, ptr), shape=(n, n))
+    base = int(degrees.sum(axis=1).max(initial=0)) + 1
+    coded = sum(base**k * mats[kind] for k, kind in enumerate(EDGE_KINDS))
+    far = degrees[:, [EDGE_KINDS.index(MIRROR[beta]) for beta in EDGE_KINDS]]
+    wedge_totals = np.zeros((n, 9), dtype=np.int64)
+    triangles = np.zeros((n, 27), dtype=np.int64)
+    for alpha in EDGE_KINDS:
+        wedge_totals[:, [WEDGE_INDEX[(alpha, beta)] for beta in EDGE_KINDS]] = mats[alpha] @ far
+    wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
+    for (alpha, beta), w_col in WEDGE_INDEX.items():
+        if w_col > WEDGE_INDEX[(beta, alpha)]:
+            continue  # its product is the transpose of the (beta, alpha) one
+        closed = coded.multiply(mats[alpha] @ mats[MIRROR[beta]]).tocoo()
+        gamma = (closed.data >= base).astype(np.int64) + (closed.data >= base**2)
+        count = closed.data // base**gamma
+        rows = [TRIANGLE_INDEX[(alpha, beta, k)] for k in EDGE_KINDS]
+        cols = [TRIANGLE_INDEX[(beta, alpha, MIRROR[k])] for k in EDGE_KINDS]
+        triangles[:, rows] = np.bincount(closed.row * 3 + gamma, count, 3 * n).reshape(n, 3)
+        triangles[:, cols] = np.bincount(closed.col * 3 + gamma, count, 3 * n).reshape(n, 3)
+    wedges = wedge_totals - triangles.reshape(n, 9, 3).sum(axis=2)
+    return dg.RawCensus(g.labels, degrees, wedge_totals, wedges, triangles)
+
+
+@st.composite
+def census_graphs(draw):
+    """G(n, p), heavy-tailed (Chung-Lu with Pareto weights) or
+    all-reciprocal graphs, n up to 300, past the oracle's cap."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["gnp", "heavy", "reciprocal"]))
+    mean_degree = draw(st.floats(0.0, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "heavy":
+        w = rng.pareto(1.5, n) + 1.0
+        p = np.outer(w, w) * mean_degree / (w.sum() * w.mean())
+    else:
+        p = np.full((n, n), mean_degree / max(n - 1, 1))
+    lo, hi = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+    codes = np.full(len(lo), 2) if kind == "reciprocal" else rng.integers(0, 3, len(lo))
+    return graph_of_pairs(n, np.column_stack([lo, hi]), codes)
+
+
+def assert_census_like_reference(g):
+    want = spgemm_census(g)
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 7, census.BLOCK):
+            mp.setattr(census, "BLOCK", block)
+            got = dg.raw_census(g)
+            assert got == want, block
+            assert {a.dtype for a in (got.degrees, got.wedge_totals, got.wedges,
+                                      got.triangles)} == {np.dtype(np.int64)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(census_graphs())
+def test_census_matches_spgemm_reference(g):
+    assert_census_like_reference(g)
+
+
+def test_star_is_linear():
+    # an out-star's 2-path products would hold (n - 1)^2 entries; here
+    # every leaf ranks below the hub, so no pair of edges is tried at all
+    n = 200_001
+    hub = np.zeros(n - 1, dtype=np.int64)
+    raw = dg.raw_census(dg.DirectedGraph.from_arcs(np.column_stack([hub, np.arange(1, n)]), n=n))
+    assert not raw.triangles.any()
+    assert not raw.wedge_totals[0].any()
+    assert (raw.wedge_totals[1:, WEDGE_INDEX[("-", "-")]] == n - 2).all()
+    assert np.array_equal(raw.wedges, raw.wedge_totals)

@@ -461,13 +461,21 @@ def test_module_entry_point(cycle_file, tmp_path):
     assert (tmp_path / "m" / "signature.csv").exists()
 
 
-def test_cli_import_skips_scipy_stats_cluster_and_csgraph():
-    skipped = ["scipy.stats", "scipy.cluster", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
-    code = ("import sys, digraphlets.cli; print(sorted(m for m in sys.modules if any("
-            f"m == s or m.startswith(s + '.') for s in {skipped!r})))")
+def test_cli_import_skips_scipy_stats_cluster_and_sparse(cycle_file, tmp_path):
+    # neither the import nor a census run loads these scipy packages
+    skipped = ["scipy.stats", "scipy.cluster", "scipy.sparse"]
+    code = (
+        "import sys\nfrom digraphlets import cli\n"
+        "def loaded():\n    return sorted(m for m in sys.modules if any("
+        f"m == s or m.startswith(s + '.') for s in {skipped!r}))\n"
+        "print(loaded())\n"
+        f"status = cli.main(['census', {str(cycle_file)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(status, loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 def test_bench_layers_are_cli_attributes(monkeypatch):

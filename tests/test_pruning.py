@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -220,6 +222,29 @@ def test_parse_weighted_csv_variants():
 def test_parse_weighted_csv_names_a_ragged_row(text, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         parse_weighted_csv(text)
+
+
+@pytest.mark.parametrize("cell", [
+    " 1 ", "1_000", "nan", "-inf", "1e400", "+.5", "\t2\n", "\u0661\u0662", "", "x",
+    "1,5", "0x10",
+])
+def test_weight_cells_convert_like_float(cell):
+    # the matrix is converted in one call, which must accept, reject and
+    # word its error exactly as float() does cell by cell
+    out = io.StringIO()
+    csv.writer(out).writerows([["", "a", "b"], ["a", "0", cell], ["b", "1", "0"]])
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        with pytest.raises(InputError) as info:
+            parse_weighted_csv(out.getvalue())
+        assert str(info.value) == f"non-numeric cell in weight matrix: {exc}"
+        return
+    if not math.isfinite(value):
+        with pytest.raises(InputError, match="^weight matrix entries must be finite$"):
+            parse_weighted_csv(out.getvalue())
+    else:
+        assert parse_weighted_csv(out.getvalue()).values.tolist() == [[0.0, value], [1.0, 0.0]]
 
 
 def test_load_weighted_csv(tmp_path):
