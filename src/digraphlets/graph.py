@@ -1,12 +1,13 @@
-"""Directed graphs with pure and reciprocal adjacency.
+"""Directed graphs stored as their connected pairs and relations.
 
 A pair of mutual arcs i->j and j->i is collapsed into one reciprocal
-edge, so every connected vertex pair sits in exactly one of three
-relations: pure out, pure in, or reciprocal.  Self-loops are not
-representable.  Only the out and reciprocal relations are stored, each
-in CSR layout (indptr plus column indices sorted within each row); the
-in relation is the transpose of the out one and is derived where it is
-read.
+edge, so every connected vertex pair lo < hi sits in exactly one of
+three relations: lo->hi, hi->lo or reciprocal.  A graph stores just
+that: the ascending keys ``lo * n + hi`` of its connected pairs and one
+relation code per pair.  Self-loops are not representable.  Seen from
+one vertex, its neighbors split into pure out, pure in and reciprocal
+ones; these relations, their CSR layout, the degrees and the arcs are
+derived from the pairs where they are read.
 
 The edge-list text format is line oriented.  Lines of the form
 ``# vertex: LABEL`` declare vertices in index order (this is how
@@ -28,6 +29,12 @@ from .fileio import read_parsed, write_text
 
 _VERTEX_PREFIX = "# vertex:"
 _BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
+# Per edge kind, the codes of the pairs whose arc lo->hi and whose arc
+# hi->lo is an entry (tail, head) of that relation.
+_KIND_CODES = {"+": (0, 1), "-": (1, 0), "o": (2, 2)}
+# A pair's code is the kind of hi seen from lo; this maps it to the kind
+# of lo seen from hi.
+_MIRROR_CODE = np.array([1, 0, 2])
 
 
 def _csr(n: int, keys: np.ndarray):
@@ -38,25 +45,8 @@ def _csr(n: int, keys: np.ndarray):
     return indptr, cols
 
 
-def _from_pairs(n: int, pairs: np.ndarray, codes: np.ndarray, labels) -> DirectedGraph:
-    """Graph of distinct canonical pairs (lo < hi) and their codes as
-    ``connected_pairs`` gives them: 0 lo->hi, 1 hi->lo, 2 reciprocal.
-    The callers draw valid pairs and pass checked labels, so nothing
-    here is checked again."""
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    up, down = lo * n + hi, hi * n + lo
-    rec = codes == 2
-    out_keys = np.sort(np.where(codes == 0, up, down)[~rec])
-    rec_keys = np.sort(np.concatenate([up[rec], down[rec]]))
-    return DirectedGraph(n, labels, *_csr(n, out_keys), *_csr(n, rec_keys))
-
-
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
-
-
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 def _check_labels(labels, n: int) -> tuple[str, ...]:
@@ -75,24 +65,22 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
 
 @dataclass(eq=False)
 class DirectedGraph:
-    """Vertex-labelled digraph split into out / in / reciprocal adjacency.
+    """Vertex-labelled digraph as its connected pairs.
 
-    Only the out and reciprocal relations are stored, as CSR components:
-    ``out_idx[out_ptr[i]:out_ptr[i+1]]`` are the pure out-neighbors of
-    vertex ``i``, sorted ascending, and likewise for ``rec_*``.  The in
-    relation is the transpose of the out one; ``kind_arrays('-')`` and
-    ``in_degrees`` derive it on each call.  Graphs are built by
-    ``from_arcs``, the one public constructor, which checks its input and
-    keeps the relations disjoint and the reciprocal one symmetric; the
-    random generators below pack pairs they drew themselves.
+    ``keys[k] = lo * n + hi`` (lo < hi) names the k-th connected pair,
+    the keys ascending, and ``codes[k]`` is its relation: 0 lo->hi,
+    1 hi->lo, 2 reciprocal.  Each vertex's neighbors fall into three
+    kinds, pure out '+', pure in '-' and reciprocal 'o';
+    ``kind_arrays`` and the degree properties read them off the pairs
+    on each call.  Graphs are built by ``from_arcs``, the one public
+    constructor, which checks its input; the random generators below
+    store pairs they drew themselves.
     """
 
     n: int
     labels: tuple[str, ...]
-    out_ptr: np.ndarray
-    out_idx: np.ndarray
-    rec_ptr: np.ndarray
-    rec_idx: np.ndarray
+    keys: np.ndarray
+    codes: np.ndarray
 
     # -- construction -------------------------------------------------
 
@@ -120,70 +108,95 @@ class DirectedGraph:
                 raise InputError("vertex index out of range")
             if (arcs[:, 0] == arcs[:, 1]).any():
                 raise InputError("self-loops are not allowed")
-        keys = np.sort(arcs[:, 0] * n + arcs[:, 1])
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        # An arc is mutual when its key is among the reversed keys; both
-        # sides sorted keep the binary searches cache-friendly.
-        src, dst = np.divmod(keys, n)
-        reverse = np.sort(dst * n + src)
-        mutual = np.take(reverse, np.searchsorted(reverse, keys), mode="clip") == keys
+        src, dst = arcs[:, 0], arcs[:, 1]
+        # Twice each arc's pair key, plus 1 for an arc hi->lo: once sorted,
+        # a pair's first and last entry differ iff it holds both arcs.
+        keys, side = np.divmod(
+            np.sort((np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)), 2
+        )
+        first = np.diff(keys, prepend=-1) != 0
+        last = np.diff(keys, append=n * n) != 0
+        codes = np.where(side[first] == side[last], side[first], 2)
         labels = _default_labels(n) if labels is None else _check_labels(labels, n)
-        return cls(n, labels, *_csr(n, keys[~mutual]), *_csr(n, keys[mutual]))
+        return cls(n, labels, keys[first], codes)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_ptr)
+        return self._degrees()[:, 0]
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.out_idx, minlength=self.n)
+        return self._degrees()[:, 1]
 
     @property
     def recip_degrees(self) -> np.ndarray:
-        return np.diff(self.rec_ptr)
+        return self._degrees()[:, 2]
 
     @property
     def num_pure_arcs(self) -> int:
-        return len(self.out_idx)
+        return int(np.count_nonzero(self.codes != 2))
 
     @property
     def num_recip_pairs(self) -> int:
-        return len(self.rec_idx) // 2
+        return int(np.count_nonzero(self.codes == 2))
 
     @property
     def num_connected_pairs(self) -> int:
-        return self.num_pure_arcs + self.num_recip_pairs
+        return len(self.keys)
+
+    # perfbench/child.py reads these two in traced runs; they go when
+    # ROADMAP item 3 step 2 moves the bench onto the package's records.
+    @property
+    def out_idx(self) -> np.ndarray:
+        return self.kind_arrays("+")[1]
+
+    @property
+    def rec_idx(self) -> np.ndarray:
+        return self.kind_arrays("o")[1]
+
+    def _degrees(self) -> np.ndarray:
+        """(n, 3) counts of each vertex's '+', '-' and 'o' neighbors."""
+        lo, hi = np.divmod(self.keys, self.n)
+        slots = np.concatenate([lo * 3 + self.codes, hi * 3 + _MIRROR_CODE[self.codes]])
+        return np.bincount(slots, minlength=3 * self.n).reshape(self.n, 3)
+
+    def _arc_ends(self, ahead: np.ndarray, back: np.ndarray):
+        """Tails and heads, unsorted, of the arcs lo->hi of the pairs in
+        mask ``ahead`` and hi->lo of the pairs in mask ``back``."""
+        lo, hi = np.divmod(self.keys, self.n)
+        return np.concatenate([lo[ahead], hi[back]]), np.concatenate([hi[ahead], lo[back]])
+
+    def _check_vertices(self, *vertices) -> None:
+        for i in vertices:
+            if not 0 <= i < self.n:
+                raise InputError(f"vertex index {i} out of range")
 
     def kind_arrays(self, kind: str):
-        """CSR (indptr, indices) for one relation: '+', '-' or 'o'; '-' is
-        the transpose of '+', rebuilt by one sort on each call."""
-        if kind == "+":
-            return self.out_ptr, self.out_idx
-        if kind == "-":
-            return _csr(self.n, np.sort(self.out_idx * self.n + _row_ids(self.out_ptr)))
-        if kind == "o":
-            return self.rec_ptr, self.rec_idx
-        raise InputError(f"unknown edge kind {kind!r}")
+        """CSR (indptr, indices) for one relation: '+', '-' or 'o',
+        built by one sort on each call."""
+        if kind not in _KIND_CODES:
+            raise InputError(f"unknown edge kind {kind!r}")
+        ahead, back = _KIND_CODES[kind]
+        tails, heads = self._arc_ends(self.codes == ahead, self.codes == back)
+        return _csr(self.n, np.sort(tails * self.n + heads))
 
     def neighbors(self, i: int, kind: str) -> np.ndarray:
+        self._check_vertices(i)
         ptr, idx = self.kind_arrays(kind)
         return idx[ptr[i] : ptr[i + 1]]
 
     def pair_relation(self, i: int, j: int) -> str:
         """Relation of j seen from i: 'out', 'in', 'recip' or 'none'."""
+        self._check_vertices(i, j)
         if i == j:
             raise InputError("pair_relation needs two distinct vertices")
-        # j is an in-neighbor of i when i is an out-neighbor of j
-        for name, kind, a, b in (
-            ("out", "+", i, j), ("in", "+", j, i), ("recip", "o", i, j)
-        ):
-            row = self.neighbors(a, kind)
-            k = np.searchsorted(row, b)
-            if k < len(row) and row[k] == b:
-                return name
-        return "none"
+        key = min(i, j) * self.n + max(i, j)
+        k = np.searchsorted(self.keys, key)
+        if k == len(self.keys) or self.keys[k] != key:
+            return "none"
+        return (("out", "in", "recip") if i < j else ("in", "out", "recip"))[self.codes[k]]
 
     def connected_pairs(self):
         """All connected pairs in ascending (lo, hi) order.
@@ -193,55 +206,30 @@ class DirectedGraph:
         pairs : (k, 2) int64 array with lo < hi
         codes : (k,) int64 array, 0 lo->hi, 1 hi->lo, 2 reciprocal
         """
-        src = _row_ids(self.out_ptr)
-        dst = self.out_idx
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        code = np.where(src < dst, 0, 1).astype(np.int64)
-        rs = _row_ids(self.rec_ptr)
-        rd = self.rec_idx
-        keep = rs < rd
-        lo = np.concatenate([lo, rs[keep]])
-        hi = np.concatenate([hi, rd[keep]])
-        code = np.concatenate([code, np.full(keep.sum(), 2, dtype=np.int64)])
-        order = np.argsort(lo * self.n + hi)  # keys are unique
-        return np.column_stack([lo[order], hi[order]]), code[order]
+        return np.column_stack(np.divmod(self.keys, self.n)), self.codes.copy()
 
     def arcs(self):
         """All arcs as (src, dst) arrays, reciprocal edges contributing
         both directions, sorted by (src, dst)."""
-        src = np.concatenate([_row_ids(self.out_ptr), _row_ids(self.rec_ptr)])
-        dst = np.concatenate([self.out_idx, self.rec_idx])
-        order = np.argsort(src * self.n + dst)  # keys are unique
-        return src[order], dst[order]
+        tails, heads = self._arc_ends(self.codes != 1, self.codes != 0)
+        return np.divmod(np.sort(tails * self.n + heads), self.n)
 
     # -- consistency --------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural invariants of the stored out and reciprocal
-        relations, raising InvariantError on failure."""
-        keys = {}
-        for kind in ("+", "o"):
-            ptr, idx = self.kind_arrays(kind)
-            if len(ptr) != self.n + 1 or ptr[0] != 0 or ptr[-1] != len(idx):
-                raise InvariantError(f"bad indptr for kind {kind!r}")
-            if (np.diff(ptr) < 0).any():
-                raise InvariantError(f"indptr not monotone for kind {kind!r}")
-            if len(idx) and (idx.min() < 0 or idx.max() >= self.n):
-                raise InvariantError(f"neighbor index out of range for {kind!r}")
-            rows = _row_ids(ptr)
-            if (rows == idx).any():
-                raise InvariantError("self-loop stored")
-            same_row = rows[1:] == rows[:-1]
-            if (np.diff(idx)[same_row] <= 0).any():
-                raise InvariantError(f"row not strictly sorted for kind {kind!r}")
-            keys[kind] = rows * self.n + idx
-        rev_keys = self.rec_idx * self.n + _row_ids(self.rec_ptr)
-        if not np.array_equal(keys["o"], np.sort(rev_keys)):
-            raise InvariantError("reciprocal adjacency not symmetric")
-        both = np.sort(np.concatenate([keys["+"], keys["o"]]))
-        if (both[1:] == both[:-1]).any():
-            raise InvariantError("pure and reciprocal relations overlap")
+        """Check the stored pairs, raising InvariantError on failure."""
+        keys, codes, n = self.keys, self.codes, self.n
+        if len(keys) != len(codes):
+            raise InvariantError("keys and codes differ in length")
+        if (np.diff(keys) <= 0).any():
+            raise InvariantError("pair keys not strictly ascending")
+        if ((keys < 0) | (keys >= n * n)).any():
+            raise InvariantError("vertex index out of range")
+        lo, hi = np.divmod(keys, n)
+        if (lo >= hi).any():
+            raise InvariantError("pair key with lo >= hi")
+        if ((codes < 0) | (codes > 2)).any():
+            raise InvariantError("relation code outside 0..2")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -249,15 +237,8 @@ class DirectedGraph:
         return (
             self.n == other.n
             and self.labels == other.labels
-            and all(
-                np.array_equal(*pair)
-                for pair in (
-                    (self.out_ptr, other.out_ptr),
-                    (self.out_idx, other.out_idx),
-                    (self.rec_ptr, other.rec_ptr),
-                    (self.rec_idx, other.rec_idx),
-                )
-            )
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.codes, other.codes)
         )
 
     # -- serialization ------------------------------------------------
@@ -431,10 +412,9 @@ def randomize_directions(graph: DirectedGraph, seed=None) -> DirectedGraph:
     1/3 each.  Pairs are visited in ascending (lo, hi) order, so a fixed
     seed gives a reproducible graph.
     """
-    pairs, _ = graph.connected_pairs()
     rng = np.random.default_rng(seed)
-    codes = rng.integers(0, 3, size=len(pairs))
-    return _from_pairs(graph.n, pairs, codes, graph.labels)
+    codes = rng.integers(0, 3, size=len(graph.keys))
+    return DirectedGraph(graph.n, graph.labels, graph.keys, codes)
 
 
 def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
@@ -454,18 +434,16 @@ def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     rng = np.random.default_rng(seed)
     cols = np.arange(n, dtype=np.int64)
     block = max(1, (1 << 22) // max(n, 1))
-    lo_parts, hi_parts = [], []
+    parts = []  # keys lo * n + hi, ascending: blocks of rows, row-major
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         u = rng.random((i1 - i0, n))
         mask = (u < p) & (cols[None, :] > np.arange(i0, i1)[:, None])
         r, c = np.nonzero(mask)
-        lo_parts.append(r + i0)
-        hi_parts.append(c)
-    lo = np.concatenate(lo_parts)
-    hi = np.concatenate(hi_parts)
-    u2 = rng.random(len(lo))
-    codes = np.full(len(lo), 2, dtype=np.int64)
+        parts.append((r + i0) * n + c)
+    keys = np.concatenate(parts)
+    u2 = rng.random(len(keys))
+    codes = np.full(len(keys), 2, dtype=np.int64)
     codes[u2 < 1 - recip_prob] = 1
     codes[u2 < (1 - recip_prob) / 2] = 0
-    return _from_pairs(n, np.column_stack([lo, hi]), codes, _default_labels(n))
+    return DirectedGraph(n, _default_labels(n), keys, codes)

@@ -163,15 +163,11 @@ def test_triangle_ratio(reciprocal_triangle, directed_path):
         dg.triangle_ratio(directed_path, 9, "+", "-", "+")
 
 
-def test_overflow_guard_trips():
-    huge = 1 << 31
-    ptr = np.array([0, huge, huge, huge], dtype=np.int64)
-    zero = np.array([0, 0, 0, 0], dtype=np.int64)
-    g = dg.DirectedGraph(
-        3, ("a", "b", "c"),
-        ptr, np.empty(0, dtype=np.int64),
-        zero, np.empty(0, dtype=np.int64),
-    )
+def test_overflow_guard_trips(monkeypatch):
+    # a real out-degree of 2^31 would take about 2^31 stored pairs
+    huge = np.array([1 << 31, 0, 0], dtype=np.int64)
+    monkeypatch.setattr(dg.DirectedGraph, "out_degrees", property(lambda g: huge))
+    g = dg.DirectedGraph.from_arcs([(0, 1)], n=3)
     with pytest.raises(InvariantError):
         dg.raw_census(g)
 

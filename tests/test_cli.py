@@ -478,7 +478,7 @@ def test_cli_import_skips_scipy_stats_cluster_and_sparse(cycle_file, tmp_path):
     assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
-def test_bench_layers_are_cli_attributes(monkeypatch):
+def test_bench_layers_are_cli_attributes(monkeypatch, tmp_path):
     # the traced bench swaps these names on digraphlets.cli by attribute
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
@@ -487,3 +487,9 @@ def test_bench_layers_are_cli_attributes(monkeypatch):
     spec.loader.exec_module(child)
     assert [name for name in child.LAYERS if not hasattr(cli, name)] == []
     assert isinstance(dg.DirectedGraph.__dict__["from_arcs"], classmethod)
+    # ...and reads the arc count off each loaded graph
+    (tmp_path / "g.edgelist").write_text("a b\nb c\nc b\nd a\na c\nc a\n")
+    g = dg.load_edge_list(tmp_path / "g.edgelist")
+    assert (g.num_pure_arcs, g.num_recip_pairs) == (2, 2)
+    want = {"arcs": g.num_pure_arcs + 2 * g.num_recip_pairs}
+    assert child._counts("load_edge_list", (), g) == want

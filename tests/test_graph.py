@@ -77,8 +77,9 @@ def reference_text(g: dg.DirectedGraph) -> str:
     """Line-by-line edge-list writer with a two-key sort, the reference
     for ``to_edge_list_text``."""
     lines = [f"{_VERTEX_PREFIX} {lab}" for lab in g.labels]
-    src = np.concatenate([np.repeat(np.arange(g.n), np.diff(p)) for p in (g.out_ptr, g.rec_ptr)])
-    dst = np.concatenate([g.out_idx, g.rec_idx])
+    csrs = [g.kind_arrays(kind) for kind in ("+", "o")]
+    src = np.concatenate([np.repeat(np.arange(g.n), np.diff(ptr)) for ptr, _ in csrs])
+    dst = np.concatenate([idx for _, idx in csrs])
     order = np.lexsort((dst, src))
     lines.extend(f"{g.labels[s]} {g.labels[d]}" for s, d in zip(src[order], dst[order]))
     return "\n".join(lines) + "\n"
@@ -209,18 +210,16 @@ def test_pair_relation_views():
 @settings(deadline=None, max_examples=80)
 @given(digraphs(max_n=9))
 def test_in_relation_is_transpose_of_out(g):
-    out = sparse.csr_matrix(
-        (np.ones(len(g.out_idx)), g.out_idx, g.out_ptr), shape=(g.n, g.n)
-    )
+    out_ptr, out_idx = g.kind_arrays("+")
+    out = sparse.csr_matrix((np.ones(len(out_idx)), out_idx, out_ptr), shape=(g.n, g.n))
     t = out.T.tocsr()
     t.sort_indices()
     ptr, idx = g.kind_arrays("-")
     assert ptr.dtype == idx.dtype == np.int64
     assert np.array_equal(ptr, t.indptr) and np.array_equal(idx, t.indices)
     assert np.array_equal(g.in_degrees, np.diff(t.indptr))
-    rec = sparse.csr_matrix(
-        (np.ones(len(g.rec_idx)), g.rec_idx, g.rec_ptr), shape=(g.n, g.n)
-    )
+    rec_ptr, rec_idx = g.kind_arrays("o")
+    rec = sparse.csr_matrix((np.ones(len(rec_idx)), rec_idx, rec_ptr), shape=(g.n, g.n))
     for i in range(g.n):
         assert g.neighbors(i, "-").tolist() == t.indices[t.indptr[i] : t.indptr[i + 1]].tolist()
         for j in range(g.n):
@@ -233,22 +232,42 @@ def test_in_relation_is_transpose_of_out(g):
 
 
 def test_validate_rejects_broken_graphs():
-    empty, zeros = np.empty(0, dtype=np.int64), np.zeros(4, dtype=np.int64)
-    one_arc = (np.array([0, 1, 1, 1]), np.array([1]))
+    def graph(keys, codes):
+        return dg.DirectedGraph(
+            3, ("a", "b", "c"), np.array(keys, dtype=np.int64), np.array(codes, dtype=np.int64)
+        )
 
-    def check(out, rec, message):
-        g = dg.DirectedGraph(3, ("a", "b", "c"), *out, *rec)
+    def check(keys, codes, message):
         with pytest.raises(InvariantError, match=message):
-            g.validate()
+            graph(keys, codes).validate()
 
-    check((np.array([0, 1, 1]), np.array([1])), (zeros, empty), "bad indptr")
-    check((np.array([0, 2, 1, 2]), np.array([1, 2])), (zeros, empty), "not monotone")
-    check((np.array([0, 1, 1, 1]), np.array([3])), (zeros, empty), "out of range")
-    check((np.array([0, 1, 1, 1]), np.array([0])), (zeros, empty), "self-loop")
-    check((np.array([0, 2, 2, 2]), np.array([2, 1])), (zeros, empty), "strictly sorted")
-    check((zeros, empty), one_arc, "not symmetric")
-    check(one_arc, (np.array([0, 1, 2, 2]), np.array([1, 0])), "overlap")
-    dg.DirectedGraph(3, ("a", "b", "c"), *one_arc, zeros, empty).validate()
+    check([1, 2], [0], "differ in length")
+    check([2, 1], [0, 0], "not strictly ascending")
+    check([1, 1], [0, 0], "not strictly ascending")
+    check([-1, 1], [0, 0], "out of range")  # key -1 is the pair (-1, 2)
+    check([1, 9], [0, 0], "out of range")  # key 9 is the pair (3, 0)
+    check([3], [0], "lo >= hi")  # the pair (1, 0)
+    check([4], [2], "lo >= hi")  # the self-loop (1, 1)
+    check([1, 2], [0, 3], "outside 0..2")
+    check([1], [-1], "outside 0..2")
+    valid = graph([1, 2, 5], [0, 2, 1])
+    valid.validate()
+    arcs = [(0, 1), (0, 2), (2, 0), (2, 1)]
+    assert valid == dg.DirectedGraph.from_arcs(arcs, labels=("a", "b", "c"))
+
+
+def test_vertex_indices_out_of_range_are_rejected():
+    # -1 would wrap to vertex 3, which has an arc to 2; the key of
+    # (0, 6) is that of the stored pair (1, 2)
+    g = dg.DirectedGraph.from_arcs([(3, 2), (1, 2)], n=4)
+    assert g.pair_relation(3, 2) == "out" and g.pair_relation(1, 2) == "out"
+    for i, j in ((-1, 2), (2, -1), (0, 4), (4, 0), (0, 6)):
+        with pytest.raises(InputError, match="out of range"):
+            g.pair_relation(i, j)
+    for i in (-1, 4):
+        for kind in dg.EDGE_KINDS:
+            with pytest.raises(InputError, match=f"^vertex index {i} out of range$"):
+                g.neighbors(i, kind)
 
 
 def _first_bad_label(labels):
@@ -376,26 +395,47 @@ def test_load_error_names_file(tmp_path):
         dg.load_edge_list(tmp_path / "nope.edgelist")
 
 
-@settings(deadline=None, max_examples=60)
-@given(digraphs(max_n=9), st.integers(0, 2**32 - 1))
-def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(g, seed):
-    # rebuild g from its arcs, some repeated, in random order (mutual
-    # pairs appear as two arcs); the dense reference reads the pure and
-    # reciprocal relations straight off the arc list's 0/1 matrix
-    src, dst = g.arcs()
-    arcs = np.column_stack([src, dst])
-    rng = np.random.default_rng(seed)
-    extra = arcs[rng.integers(0, len(arcs), size=len(arcs))] if len(arcs) else arcs
-    arcs = np.concatenate([arcs, extra])
-    arcs = arcs[rng.permutation(len(arcs))]
-    a = np.zeros((g.n, g.n), dtype=bool)
+@st.composite
+def arc_lists(draw, max_n=9):
+    """(arcs, n): each vertex pair absent, one arc either way or both
+    arcs, some arcs repeated, all in shuffled order."""
+    n = draw(st.integers(1, max_n))
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            arcs += ([], [(i, j)], [(j, i)], [(i, j), (j, i)])[draw(st.integers(0, 3))]
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=len(arcs)))
+    return draw(st.permutations(arcs)), n
+
+
+def assert_builds_like_reference(arcs, n):
+    """``from_arcs(arcs, n)`` must store the (lo, hi, code) triples of a
+    set-based build, and give back the arc set and the pure and
+    reciprocal relations of the arc list's 0/1 matrix."""
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    built = dg.DirectedGraph.from_arcs(arcs, n=n)
+    built.validate()
+    arc_set = set(map(tuple, arcs.tolist()))
+    want = {
+        (min(s, d), max(s, d), 2 if (d, s) in arc_set else int(s > d)) for s, d in arc_set
+    }
+    pairs, codes = built.connected_pairs()
+    assert [(lo, hi, c) for (lo, hi), c in zip(pairs.tolist(), codes.tolist())] == sorted(want)
+    assert list(zip(*(x.tolist() for x in built.arcs()))) == sorted(arc_set)
+    a = np.zeros((n, n), dtype=bool)
     a[arcs[:, 0], arcs[:, 1]] = True
-    built = dg.DirectedGraph.from_arcs(arcs, n=g.n)
     mats = dense_relations(built)
     assert np.array_equal(mats["+"], a & ~a.T)
     assert np.array_equal(mats["-"], (a & ~a.T).T)
     assert np.array_equal(mats["o"], a & a.T)
-    assert built == g
+    return built
+
+
+@settings(deadline=None, max_examples=60)
+@given(arc_lists())
+def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(case):
+    assert_builds_like_reference(*case)
 
 
 def test_from_arcs_empty_list():

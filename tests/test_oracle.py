@@ -111,9 +111,10 @@ def _books(pages, to_lo, to_hi):
     ("arcs into the spine", _books(7, 1, 1)),
 ])
 def test_census_equals_oracle_at_the_decode_boundary(name, g):
-    # a masked entry (i, j) counts common neighbours of two adjacent
-    # vertices, so it is at most dmax - 1; these graphs reach that for
-    # every kind g of the edge (i, j), the largest c in c * B^g
+    # for every closing kind g, some edge of kind g closes dmax - 1
+    # triangles whose two other edges have the same kinds: the most an
+    # edge can, so the top of the c * B^g decode in
+    # test_census.spgemm_census, the reference above the oracle's cap
     dmax = (g.out_degrees + g.in_degrees + g.recip_degrees).max()
     a = dense_relations(g)
     products = [a[x] @ a[y].T for x in dg.EDGE_KINDS for y in dg.EDGE_KINDS]
