@@ -16,10 +16,12 @@ all-reciprocal triangle gives T(o,o,o) = 2 per vertex).
 
 Summing over the middle vertex h (j = i only when a = b) gives
 L_i(a, b) = sum over h in S_i^a of d_h^mirror(b) - [a == b] d_i^a.
+Both sums read the graph's half-edges, each pair seen from both ends.
 Triangles are listed once each (Chiba and Nishizeki 1985; Latapy 2008):
-each pair is oriented from its lower to its higher end in (total
-degree, id) order, each edge is tried with the later edges of its
-tail's row, and the closing edge is looked up among the sorted keys.  A
+of each pair's two half-edges the one seen from the lower end in (total
+degree, id) order is kept, so its kind is already seen from its tail;
+each such edge is tried with the later edges of its tail's row, and the
+closing edge is looked up among the sorted keys.  A
 tail has at most sqrt(2m) oriented edges, so at most m sqrt(2m) tries
 are made, BLOCK at a time, which bounds memory beyond O(n + m) whatever
 the degrees.  L is summed in float64 and is at most dmax^2, so
@@ -132,32 +134,30 @@ def _assignment_table() -> np.ndarray:
 
 
 _ASSIGNMENTS = _assignment_table()
-_MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
 BLOCK = 1 << 16  # edge pairs tried at once by the triangle listing
 
 
 def raw_census(g: DirectedGraph) -> RawCensus:
     """Count all 39 raw quantities for every vertex, exactly."""
     n = g.n
-    degrees = np.column_stack([g.out_degrees, g.in_degrees, g.recip_degrees]).astype(np.int64)
+    degrees = g.degrees
     dmax = int(degrees.sum(axis=1).max(initial=0))
     if dmax * dmax >= 1 << 53:
         raise InvariantError("counts could exceed the exact range of float64")
-    pairs, code = g.connected_pairs()  # code is the kind of hi seen from lo
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    slot = np.concatenate([lo * 3 + code, hi * 3 + _MIRROR_CODE[code]])
-    far = degrees[np.concatenate([hi, lo])][:, _MIRROR_CODE]
+    vertex, kind, neighbor = g.half_edges()
+    slot = vertex * 3 + kind
+    far = degrees[neighbor]
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
-    for b, beta in enumerate(EDGE_KINDS):
-        w_cols = [WEDGE_INDEX[(alpha, beta)] for alpha in EDGE_KINDS]
-        wedge_totals[:, w_cols] = np.bincount(slot, far[:, b], 3 * n).reshape(n, 3)
+    for c, seen in enumerate(EDGE_KINDS):  # far[:, c] = d_h^seen feeds L(., MIRROR[seen])
+        w_cols = [WEDGE_INDEX[(alpha, MIRROR[seen])] for alpha in EDGE_KINDS]
+        wedge_totals[:, w_cols] = np.bincount(slot, far[:, c], 3 * n).reshape(n, 3)
     wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
-    vertex = np.argsort(degrees.sum(axis=1), kind="stable")  # rank -> vertex
-    rank = np.argsort(vertex)
-    up = rank[lo] < rank[hi]
-    keys = np.where(up, rank[lo] * n + rank[hi], rank[hi] * n + rank[lo])
+    by_rank = np.argsort(degrees.sum(axis=1), kind="stable")
+    rank = np.argsort(by_rank)
+    up = rank[vertex] < rank[neighbor]
+    keys = rank[vertex[up]] * n + rank[neighbor[up]]
     order = np.argsort(keys)
-    keys, kinds = keys[order], np.where(up, code, _MIRROR_CODE[code])[order]
+    keys, kinds = keys[order], kind[up][order]
     tails, heads = np.divmod(keys, n)
     later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(len(keys)) - 1
     bounds = np.cumsum(np.append(0, later))  # edge e makes tries bounds[e]:bounds[e+1]
@@ -172,7 +172,7 @@ def raw_census(g: DirectedGraph) -> RawCensus:
         at = np.searchsorted(keys, close).clip(max=len(keys) - 1)
         hit = keys[at] == close
         e, f, at = e[hit], f[hit], at[hit]
-        ends = vertex[np.stack([tails[e], heads[e], heads[f]])]
+        ends = by_rank[np.stack([tails[e], heads[e], heads[f]])]
         code3 = 9 * kinds[e] + 3 * kinds[f] + kinds[at]
         cols = ends[[0, 0, 1, 1, 2, 2]] * 27 + _ASSIGNMENTS[:, code3]
         triangles += np.bincount(cols.ravel(), minlength=27 * n)

@@ -15,13 +15,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 # Only `cluster` uses scipy.linalg (scipy.cluster loads it through
 # scipy.spatial). It loads here, as start-up cost, because perfbench times
-# start-up apart from each command's run; see ROADMAP.md, open item 2.
+# start-up apart from each command's run; see ROADMAP.md, open item 4.
 import scipy.linalg  # noqa: F401
 
 from . import __version__
@@ -153,11 +154,6 @@ def cmd_gcm(args) -> int:
     return EXIT_OK
 
 
-def _subject_gcm(task):
-    path, normalized, method = task
-    return _graph_gcm(path, normalized, method)
-
-
 def cmd_cohort(args) -> int:
     root = Path(args.input)
     if not root.is_dir():
@@ -169,16 +165,16 @@ def cmd_cohort(args) -> int:
     if not paths:
         raise InputError(f"no input files in {root}")
     method = "spearman" if args.spearman else "pearson"
-    tasks = [(str(p), args.normalized, method) for p in paths]
+    member_gcm = partial(_graph_gcm, normalized=args.normalized, method=method)
     # fork starts every worker up front, so never more than there are members
-    workers = min(_workers(), len(tasks))
+    workers = min(_workers(), len(paths))
     if workers == 1:
-        matrices = [_subject_gcm(t) for t in tasks]
+        matrices = list(map(member_gcm, paths))
     else:
         matrices = []
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for matrix in pool.map(_subject_gcm, tasks):
+                for matrix in pool.map(member_gcm, paths):
                     matrices.append(matrix)
         except BrokenProcessPool as exc:
             raise InvariantError(

@@ -4,10 +4,11 @@ A pair of mutual arcs i->j and j->i is collapsed into one reciprocal
 edge, so every connected vertex pair lo < hi sits in exactly one of
 three relations: lo->hi, hi->lo or reciprocal.  A graph stores just
 that: the ascending keys ``lo * n + hi`` of its connected pairs and one
-relation code per pair.  Self-loops are not representable.  Seen from
-one vertex, its neighbors split into pure out, pure in and reciprocal
-ones; these relations, their CSR layout, the degrees and the arcs are
-derived from the pairs where they are read.
+relation code per pair.  Self-loops are not representable.  Everything
+else is read off the half-edges, each pair seen from both ends as
+(vertex, kind, neighbor): kind 0 '+', 1 '-' or 2 'o' says the neighbor
+is pure out, pure in or reciprocal.  A code is the kind of hi seen from
+lo, and its mirror (taxonomy.MIRROR) that of lo seen from hi.
 
 The edge-list text format is line oriented.  Lines of the form
 ``# vertex: LABEL`` declare vertices in index order (this is how
@@ -26,23 +27,31 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .fileio import read_parsed, write_text
+from .taxonomy import EDGE_KINDS, MIRROR
 
 _VERTEX_PREFIX = "# vertex:"
 _BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
-# Per edge kind, the codes of the pairs whose arc lo->hi and whose arc
-# hi->lo is an entry (tail, head) of that relation.
-_KIND_CODES = {"+": (0, 1), "-": (1, 0), "o": (2, 2)}
-# A pair's code is the kind of hi seen from lo; this maps it to the kind
-# of lo seen from hi.
-_MIRROR_CODE = np.array([1, 0, 2])
+# a pair's code, the kind of hi seen from lo -> the kind of lo seen from hi
+_MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
 
 
-def _csr(n: int, keys: np.ndarray):
-    """CSR indptr/indices of sorted, distinct arc keys ``src * n + dst``."""
-    rows, cols = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols
+def _kind_code(kind: str) -> int:
+    if kind not in EDGE_KINDS:
+        raise InputError(f"unknown edge kind {kind!r}")
+    return EDGE_KINDS.index(kind)
+
+
+def _whole_numbers(values, message: str) -> np.ndarray:
+    """``values`` as int64; InputError(message) unless all are whole numbers."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise InputError(message) from None
+    if a.dtype.kind == "f" and ((np.trunc(a) == a) & (abs(a) < 2.0**63)).all():
+        a = a.astype(np.int64)
+    if a.dtype.kind not in "iu":
+        raise InputError(message)
+    return a.astype(np.int64, copy=False)
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -69,10 +78,9 @@ class DirectedGraph:
 
     ``keys[k] = lo * n + hi`` (lo < hi) names the k-th connected pair,
     the keys ascending, and ``codes[k]`` is its relation: 0 lo->hi,
-    1 hi->lo, 2 reciprocal.  Each vertex's neighbors fall into three
-    kinds, pure out '+', pure in '-' and reciprocal 'o';
-    ``kind_arrays`` and the degree properties read them off the pairs
-    on each call.  Graphs are built by ``from_arcs``, the one public
+    1 hi->lo, 2 reciprocal.  ``degrees``, ``kind_arrays``,
+    ``neighbors`` and ``arcs`` each select from ``half_edges`` on each
+    call.  Graphs are built by ``from_arcs``, the one public
     constructor, which checks its input; the random generators below
     store pairs they drew themselves.
     """
@@ -86,12 +94,15 @@ class DirectedGraph:
 
     @classmethod
     def from_arcs(cls, arcs, n=None, labels=None) -> "DirectedGraph":
-        """Build from integer arc pairs; mutual arcs become reciprocal.
+        """Build from a (k, 2) array of whole-number arcs.
 
-        Duplicate arcs collapse silently.  Self-loops are rejected.  The
-        vertex count defaults to ``max index + 1``.
+        Mutual arcs become reciprocal, duplicates collapse silently and
+        self-loops are rejected.  The vertex count defaults to max + 1.
         """
-        arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+        arcs = _whole_numbers(arcs, "arc entries must be whole numbers")
+        arcs = arcs.reshape(0, 2) if arcs.size == 0 else arcs
+        if arcs.ndim != 2 or arcs.shape[1] != 2:
+            raise InputError(f"arcs must have shape (k, 2), got {arcs.shape}")
         if labels is not None:
             labels = tuple(labels)
             if n is None:
@@ -100,6 +111,9 @@ class DirectedGraph:
             if len(arcs) == 0:
                 raise InputError("cannot infer vertex count from an empty arc list")
             n = int(arcs.max()) + 1
+        n = _whole_numbers(n, "the vertex count must be a whole number")
+        if n.ndim:
+            raise InputError("the vertex count must be a whole number")
         n = int(n)
         if n <= 0:
             raise InputError("graph needs at least one vertex")
@@ -122,17 +136,19 @@ class DirectedGraph:
 
     # -- inspection ---------------------------------------------------
 
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self._degrees()[:, 0]
+    def half_edges(self):
+        """(vertex, kind, neighbor) int64 arrays of each pair seen from
+        lo, then of each seen from hi; kind 0 '+', 1 '-' or 2 'o'
+        (EDGE_KINDS order) is the neighbor seen from the vertex."""
+        lo, hi = np.divmod(self.keys, self.n)
+        kind = np.concatenate([self.codes, _MIRROR_CODE[self.codes]])
+        return np.concatenate([lo, hi]), kind, np.concatenate([hi, lo])
 
     @property
-    def in_degrees(self) -> np.ndarray:
-        return self._degrees()[:, 1]
-
-    @property
-    def recip_degrees(self) -> np.ndarray:
-        return self._degrees()[:, 2]
+    def degrees(self) -> np.ndarray:
+        """(n, 3) int64 counts of each vertex's '+', '-' and 'o' neighbors."""
+        vertex, kind, _ = self.half_edges()
+        return np.bincount(vertex * 3 + kind, minlength=3 * self.n).reshape(self.n, 3)
 
     @property
     def num_pure_arcs(self) -> int:
@@ -156,18 +172,6 @@ class DirectedGraph:
     def rec_idx(self) -> np.ndarray:
         return self.kind_arrays("o")[1]
 
-    def _degrees(self) -> np.ndarray:
-        """(n, 3) counts of each vertex's '+', '-' and 'o' neighbors."""
-        lo, hi = np.divmod(self.keys, self.n)
-        slots = np.concatenate([lo * 3 + self.codes, hi * 3 + _MIRROR_CODE[self.codes]])
-        return np.bincount(slots, minlength=3 * self.n).reshape(self.n, 3)
-
-    def _arc_ends(self, ahead: np.ndarray, back: np.ndarray):
-        """Tails and heads, unsorted, of the arcs lo->hi of the pairs in
-        mask ``ahead`` and hi->lo of the pairs in mask ``back``."""
-        lo, hi = np.divmod(self.keys, self.n)
-        return np.concatenate([lo[ahead], hi[back]]), np.concatenate([hi[ahead], lo[back]])
-
     def _check_vertices(self, *vertices) -> None:
         for i in vertices:
             if not 0 <= i < self.n:
@@ -175,17 +179,17 @@ class DirectedGraph:
 
     def kind_arrays(self, kind: str):
         """CSR (indptr, indices) for one relation: '+', '-' or 'o',
-        built by one sort on each call."""
-        if kind not in _KIND_CODES:
-            raise InputError(f"unknown edge kind {kind!r}")
-        ahead, back = _KIND_CODES[kind]
-        tails, heads = self._arc_ends(self.codes == ahead, self.codes == back)
-        return _csr(self.n, np.sort(tails * self.n + heads))
+        built by one sort of its half-edges on each call."""
+        vertex, kinds, neighbor = self.half_edges()
+        of = kinds == _kind_code(kind)
+        rows, cols = np.divmod(np.sort(vertex[of] * self.n + neighbor[of]), self.n)
+        return np.searchsorted(rows, np.arange(self.n + 1)), cols
 
     def neighbors(self, i: int, kind: str) -> np.ndarray:
+        """Sorted neighbors of kind '+', '-' or 'o' of vertex i."""
         self._check_vertices(i)
-        ptr, idx = self.kind_arrays(kind)
-        return idx[ptr[i] : ptr[i + 1]]
+        vertex, kinds, neighbor = self.half_edges()
+        return np.sort(neighbor[(vertex == i) & (kinds == _kind_code(kind))])
 
     def pair_relation(self, i: int, j: int) -> str:
         """Relation of j seen from i: 'out', 'in', 'recip' or 'none'."""
@@ -196,23 +200,20 @@ class DirectedGraph:
         k = np.searchsorted(self.keys, key)
         if k == len(self.keys) or self.keys[k] != key:
             return "none"
-        return (("out", "in", "recip") if i < j else ("in", "out", "recip"))[self.codes[k]]
+        code = self.codes[k] if i < j else _MIRROR_CODE[self.codes[k]]
+        return ("out", "in", "recip")[code]
 
     def connected_pairs(self):
-        """All connected pairs in ascending (lo, hi) order.
-
-        Returns
-        -------
-        pairs : (k, 2) int64 array with lo < hi
-        codes : (k,) int64 array, 0 lo->hi, 1 hi->lo, 2 reciprocal
-        """
+        """(k, 2) int64 pairs lo < hi in ascending order and their int64
+        codes: 0 lo->hi, 1 hi->lo, 2 reciprocal."""
         return np.column_stack(np.divmod(self.keys, self.n)), self.codes.copy()
 
     def arcs(self):
         """All arcs as (src, dst) arrays, reciprocal edges contributing
         both directions, sorted by (src, dst)."""
-        tails, heads = self._arc_ends(self.codes != 1, self.codes != 0)
-        return np.divmod(np.sort(tails * self.n + heads), self.n)
+        vertex, kind, neighbor = self.half_edges()
+        out = kind != EDGE_KINDS.index("-")  # the arc vertex->neighbor exists
+        return np.divmod(np.sort(vertex[out] * self.n + neighbor[out]), self.n)
 
     # -- consistency --------------------------------------------------
 

@@ -180,7 +180,7 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
 
 def skeleton_summary(graph: DirectedGraph) -> dict:
     """Connectivity facts about a graph's undirected skeleton."""
-    degrees = graph.out_degrees + graph.in_degrees + graph.recip_degrees
+    degrees = graph.degrees.sum(axis=1)
     pairs, _ = graph.connected_pairs()
     largest = max(_largest_sizes(graph.n, pairs.tolist()), default=1)
     return {

@@ -165,8 +165,8 @@ def test_triangle_ratio(reciprocal_triangle, directed_path):
 
 def test_overflow_guard_trips(monkeypatch):
     # a real out-degree of 2^31 would take about 2^31 stored pairs
-    huge = np.array([1 << 31, 0, 0], dtype=np.int64)
-    monkeypatch.setattr(dg.DirectedGraph, "out_degrees", property(lambda g: huge))
+    huge = np.array([[1 << 31, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int64)
+    monkeypatch.setattr(dg.DirectedGraph, "degrees", property(lambda g: huge))
     g = dg.DirectedGraph.from_arcs([(0, 1)], n=3)
     with pytest.raises(InvariantError):
         dg.raw_census(g)
@@ -243,11 +243,11 @@ def spgemm_census(g) -> dg.RawCensus:
     fill T(a, b, g) and its column sums T(b, a, mirror(g)).
     """
     n = g.n
-    degrees = np.column_stack([g.out_degrees, g.in_degrees, g.recip_degrees]).astype(np.int64)
     mats = {}
     for kind in EDGE_KINDS:
         ptr, idx = g.kind_arrays(kind)
         mats[kind] = sparse.csr_matrix((np.ones(len(idx), dtype=np.int64), idx, ptr), shape=(n, n))
+    degrees = np.column_stack([np.diff(mats[kind].indptr) for kind in EDGE_KINDS]).astype(np.int64)
     base = int(degrees.sum(axis=1).max(initial=0)) + 1
     coded = sum(base**k * mats[kind] for k, kind in enumerate(EDGE_KINDS))
     far = degrees[:, [EDGE_KINDS.index(MIRROR[beta]) for beta in EDGE_KINDS]]

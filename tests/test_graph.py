@@ -164,7 +164,7 @@ def test_vertex_declarations_keep_isolated():
     assert g.n == 3
     assert g.labels == ("a", "lonely", "b")
     assert g.pair_relation(0, 2) == "out"
-    assert g.out_degrees[1] == 0 and g.in_degrees[1] == 0
+    assert g.degrees[1].tolist() == [0, 0, 0]
 
 
 def test_undeclared_label_rejected():
@@ -217,11 +217,17 @@ def test_in_relation_is_transpose_of_out(g):
     ptr, idx = g.kind_arrays("-")
     assert ptr.dtype == idx.dtype == np.int64
     assert np.array_equal(ptr, t.indptr) and np.array_equal(idx, t.indices)
-    assert np.array_equal(g.in_degrees, np.diff(t.indptr))
+    degrees = g.degrees
+    assert degrees.dtype == np.int64 and degrees.shape == (g.n, 3)
+    for c, kind in enumerate(dg.EDGE_KINDS):
+        ptr, idx = g.kind_arrays(kind)
+        assert np.array_equal(degrees[:, c], np.diff(ptr))
+        for i in range(g.n):
+            got = g.neighbors(i, kind)
+            assert got.dtype == np.int64 and got.tolist() == idx[ptr[i] : ptr[i + 1]].tolist()
     rec_ptr, rec_idx = g.kind_arrays("o")
     rec = sparse.csr_matrix((np.ones(len(rec_idx)), rec_idx, rec_ptr), shape=(g.n, g.n))
     for i in range(g.n):
-        assert g.neighbors(i, "-").tolist() == t.indices[t.indptr[i] : t.indptr[i + 1]].tolist()
         for j in range(g.n):
             if i != j:
                 seen = g.pair_relation(i, j)
@@ -268,6 +274,15 @@ def test_vertex_indices_out_of_range_are_rejected():
         for kind in dg.EDGE_KINDS:
             with pytest.raises(InputError, match=f"^vertex index {i} out of range$"):
                 g.neighbors(i, kind)
+
+
+def test_unknown_edge_kind_is_rejected():
+    g = dg.DirectedGraph.from_arcs([(0, 1)], n=2)
+    for kind in ("x", "out", "", "+-", None):
+        with pytest.raises(InputError, match="^unknown edge kind"):
+            g.kind_arrays(kind)
+        with pytest.raises(InputError, match="^unknown edge kind"):
+            g.neighbors(0, kind)
 
 
 def _first_bad_label(labels):
@@ -331,6 +346,31 @@ def test_from_arcs_validation():
         dg.DirectedGraph.from_arcs([(0, 1)], labels=("dup", "dup"))
     with pytest.raises(InputError):
         dg.DirectedGraph.from_arcs([(0, 1)], labels=("a b", "c"))
+    # non-integral, non-finite or non-numeric entries and vertex counts
+    for arcs, n in (
+        ([(0.7, 1.2), (2.9, 0)], None),
+        ([(0.5, 1)], 3),
+        ([(0, float("nan"))], 2),
+        ([(0, float("inf"))], None),
+        ([("a", "b")], None),
+        ([("0", "1")], 2),
+        ([(0, 1)], 2.9),
+        ([(0, 1)], "2"),
+        ([(0, 1)], [2]),
+    ):
+        with pytest.raises(InputError, match="whole number"):
+            dg.DirectedGraph.from_arcs(arcs, n=n)
+    # anything but a (k, 2) array, unless it is empty
+    for arcs in ([(0, 1, 2)], [0, 1], [[(0, 1)]], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(InputError, match="shape"):
+            dg.DirectedGraph.from_arcs(arcs, n=3)
+    with pytest.raises(InputError):
+        dg.DirectedGraph.from_arcs([(0, 1), (2,)], n=3)
+    # whole numbers given as floats are taken at their value
+    g = dg.DirectedGraph.from_arcs([(0.0, 1.0), (2.0, 0.0)], n=3.0)
+    assert g == dg.DirectedGraph.from_arcs([(0, 1), (2, 0)], n=3)
+    for empty in ([], [[]], np.empty((0, 2)), np.empty(0, dtype=np.int64)):
+        assert dg.DirectedGraph.from_arcs(empty, n=2) == dg.DirectedGraph.from_arcs([], n=2)
 
 
 def test_randomize_preserves_skeleton():
@@ -436,6 +476,26 @@ def assert_builds_like_reference(arcs, n):
 @given(arc_lists())
 def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(case):
     assert_builds_like_reference(*case)
+
+
+@settings(deadline=None, max_examples=60)
+@given(arc_lists())
+def test_half_edges_match_a_set_based_derivation(case):
+    """Each pair seen from lo, then each seen from hi, ascending (lo,
+    hi); a kind is '+', '-' or 'o' by which of its two arcs exist."""
+    g = dg.DirectedGraph.from_arcs(*case)
+    arc_set = set(zip(*(x.tolist() for x in g.arcs())))
+    pairs = sorted({(min(s, d), max(s, d)) for s, d in arc_set})
+
+    def seen(i, j):
+        ahead, back = (i, j) in arc_set, (j, i) in arc_set
+        return dg.EDGE_KINDS.index("o" if ahead and back else "+" if ahead else "-")
+
+    want = [(lo, seen(lo, hi), hi) for lo, hi in pairs]
+    want += [(hi, seen(hi, lo), lo) for lo, hi in pairs]
+    got = g.half_edges()
+    assert all(x.dtype == np.int64 for x in got)
+    assert list(zip(*(x.tolist() for x in got))) == want
 
 
 def test_from_arcs_empty_list():

@@ -23,7 +23,7 @@ def test_uniform_weights_keep_everything():
     g, t = dg.prune_weighted(w)
     assert t == 0.0
     assert g.num_pure_arcs + 2 * g.num_recip_pairs == 116 * 115
-    degree = g.out_degrees + g.in_degrees + g.recip_degrees
+    degree = g.degrees.sum(axis=1)
     assert degree.min() >= 2 * math.log(116)
 
 
