@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+def _check_theta(theta: float) -> float:
+    """``theta`` itself; InputError unless 0 < theta < 1."""
+    if not 0 < theta < 1:
+        raise InputError("theta must lie strictly between 0 and 1")
+    return theta
+
+
 @dataclass(eq=False)
 class GraphletCorrelationMatrix:
     """Symmetric correlation matrix over signature columns.
@@ -126,8 +133,7 @@ def significance_mask(matrix, theta: float = DEFAULT_THETA) -> np.ndarray:
     Inequalities are strict, so r equal to the threshold is not
     significant.  The diagonal is always 0.
     """
-    if not 0 < theta < 1:
-        raise InputError("theta must lie strictly between 0 and 1")
+    _check_theta(theta)
     values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
     mask = np.zeros(values.shape, dtype=np.int64)
     mask[values > theta] = 1
@@ -141,8 +147,7 @@ def cohort_stats(gcms, theta: float = DEFAULT_THETA) -> CohortStats:
     gcms = list(gcms)
     if not gcms:
         raise InputError("cohort_stats needs at least one matrix")
-    if not 0 < theta < 1:
-        raise InputError("theta must lie strictly between 0 and 1")
+    _check_theta(theta)
     columns = tuple(gcms[0].columns)
     for g in gcms[1:]:
         if tuple(g.columns) != columns:

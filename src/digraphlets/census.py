@@ -235,7 +235,7 @@ def triangle_ratio(g: DirectedGraph, i: int, alpha: str, beta: str, gamma: str,
 
     Generalizes the clustering coefficient: T_i(a,b,g) / L_i(a,b), with
     0 when the vertex has no (a,b) wedges at all.  Pass a precomputed
-    raw census to avoid recounting.
+    raw census of ``g`` to avoid recounting.
     """
     for kind in (alpha, beta, gamma):
         if kind not in EDGE_KINDS:
@@ -244,6 +244,8 @@ def triangle_ratio(g: DirectedGraph, i: int, alpha: str, beta: str, gamma: str,
         raise InputError(f"vertex index {i} out of range")
     if raw is None:
         raw = raw_census(g)
+    elif raw.labels != g.labels:
+        raise InputError("raw census is of another graph: its vertex labels differ")
     t = raw.triangles[i, TRIANGLE_INDEX[(alpha, beta, gamma)]]
     l = raw.wedge_totals[i, WEDGE_INDEX[(alpha, beta)]]
     return float(t) / float(l) if l else 0.0

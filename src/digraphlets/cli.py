@@ -26,7 +26,14 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 
 from . import __version__
-from .analysis import DEFAULT_THETA, cohort_stats, gcm, significance_mask, ward_cluster
+from .analysis import (
+    DEFAULT_THETA,
+    _check_theta,
+    cohort_stats,
+    gcm,
+    significance_mask,
+    ward_cluster,
+)
 from .census import aggregate, normalize, raw_census
 from .errors import InputError, InvariantError, UnprunableError
 from .fileio import (
@@ -53,12 +60,11 @@ WORKERS_ENV = "DIGRAPHLETS_WORKERS"
 
 def _theta(text: str) -> float:
     try:
-        value = float(text)
+        return _check_theta(float(text))
+    except InputError as exc:  # an InputError is a ValueError too
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid theta {text!r}")
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("theta must lie strictly between 0 and 1")
-    return value
 
 
 def _seed(text: str) -> int:

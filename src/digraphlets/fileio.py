@@ -62,19 +62,20 @@ def write_json(path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def table_csv(corner: str, columns, row_labels, values) -> str:
-    """One header row then one row per label, all cells canonical text.
-
-    Cells read as ``fmt_number`` gives them, formatted a row at a time:
-    integer and boolean tables as plain integers, anything else at 9
-    significant digits with ``-0`` written as ``0``.
-    """
+def _table_rows(values):
+    """Rows of a table as Python numbers, and the text of one cell, as
+    ``fmt_number`` gives them: integer and boolean tables as plain
+    integers, anything else at 9 significant digits with ``-0`` as ``0``."""
     values = np.asarray(values)
     if values.dtype.kind in "biu":
-        rows, cell = values.astype(np.int64).tolist(), str
-    else:
-        values = values.astype(float)
-        rows, cell = np.where(values == 0.0, 0.0, values).tolist(), "{:.9g}".format
+        return values.astype(np.int64).tolist(), str
+    values = values.astype(float)
+    return np.where(values == 0.0, 0.0, values).tolist(), "{:.9g}".format
+
+
+def table_csv(corner: str, columns, row_labels, values) -> str:
+    """One header row then one row per label, all cells canonical text."""
+    rows, cell = _table_rows(values)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([corner, *columns])
@@ -87,8 +88,11 @@ def write_table_csv(path, corner, columns, row_labels, values) -> None:
 
 
 def table_json(columns, row_labels, values):
-    body = [[round9(v) for v in row] for row in np.asarray(values)]
-    return {"columns": list(columns), "index": list(row_labels), "values": body}
+    """The cells of ``table_csv`` as JSON numbers: integers stay integers."""
+    rows, cell = _table_rows(values)
+    if cell is not str:  # a float as its 9-digit text reads back
+        rows = [[float(cell(v)) for v in row] for row in rows]
+    return {"columns": list(columns), "index": list(row_labels), "values": rows}
 
 
 @dataclass(eq=False)

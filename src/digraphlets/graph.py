@@ -35,12 +35,6 @@ _BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
 _MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
 
 
-def _kind_code(kind: str) -> int:
-    if kind not in EDGE_KINDS:
-        raise InputError(f"unknown edge kind {kind!r}")
-    return EDGE_KINDS.index(kind)
-
-
 def _whole_numbers(values, message: str) -> np.ndarray:
     """``values`` as int64; InputError(message) unless all are whole numbers."""
     try:
@@ -78,11 +72,10 @@ class DirectedGraph:
 
     ``keys[k] = lo * n + hi`` (lo < hi) names the k-th connected pair,
     the keys ascending, and ``codes[k]`` is its relation: 0 lo->hi,
-    1 hi->lo, 2 reciprocal.  ``degrees``, ``kind_arrays``,
-    ``neighbors`` and ``arcs`` each select from ``half_edges`` on each
-    call.  Graphs are built by ``from_arcs``, the one public
-    constructor, which checks its input; the random generators below
-    store pairs they drew themselves.
+    1 hi->lo, 2 reciprocal.  ``degrees`` and ``arcs`` each select from
+    ``half_edges`` on each call.  Graphs are built by ``from_arcs``, the
+    one public constructor, which checks its input; the random
+    generators below store pairs they drew themselves.
     """
 
     n: int
@@ -162,46 +155,18 @@ class DirectedGraph:
     def num_connected_pairs(self) -> int:
         return len(self.keys)
 
-    # perfbench/child.py reads these two in traced runs; they go when
-    # ROADMAP item 3 step 2 moves the bench onto the package's records.
+    # perfbench/child.py reads the lengths of these two in traced runs;
+    # they go when ROADMAP item 3 step 2 moves the bench onto the
+    # package's records.
     @property
     def out_idx(self) -> np.ndarray:
-        return self.kind_arrays("+")[1]
+        _, kind, neighbor = self.half_edges()
+        return neighbor[kind == EDGE_KINDS.index("+")]
 
     @property
     def rec_idx(self) -> np.ndarray:
-        return self.kind_arrays("o")[1]
-
-    def _check_vertices(self, *vertices) -> None:
-        for i in vertices:
-            if not 0 <= i < self.n:
-                raise InputError(f"vertex index {i} out of range")
-
-    def kind_arrays(self, kind: str):
-        """CSR (indptr, indices) for one relation: '+', '-' or 'o',
-        built by one sort of its half-edges on each call."""
-        vertex, kinds, neighbor = self.half_edges()
-        of = kinds == _kind_code(kind)
-        rows, cols = np.divmod(np.sort(vertex[of] * self.n + neighbor[of]), self.n)
-        return np.searchsorted(rows, np.arange(self.n + 1)), cols
-
-    def neighbors(self, i: int, kind: str) -> np.ndarray:
-        """Sorted neighbors of kind '+', '-' or 'o' of vertex i."""
-        self._check_vertices(i)
-        vertex, kinds, neighbor = self.half_edges()
-        return np.sort(neighbor[(vertex == i) & (kinds == _kind_code(kind))])
-
-    def pair_relation(self, i: int, j: int) -> str:
-        """Relation of j seen from i: 'out', 'in', 'recip' or 'none'."""
-        self._check_vertices(i, j)
-        if i == j:
-            raise InputError("pair_relation needs two distinct vertices")
-        key = min(i, j) * self.n + max(i, j)
-        k = np.searchsorted(self.keys, key)
-        if k == len(self.keys) or self.keys[k] != key:
-            return "none"
-        code = self.codes[k] if i < j else _MIRROR_CODE[self.codes[k]]
-        return ("out", "in", "recip")[code]
+        _, kind, neighbor = self.half_edges()
+        return neighbor[kind == EDGE_KINDS.index("o")]
 
     def connected_pairs(self):
         """(k, 2) int64 pairs lo < hi in ascending order and their int64
@@ -421,9 +386,11 @@ def randomize_directions(graph: DirectedGraph, seed=None) -> DirectedGraph:
 def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     """Sample a digraph whose skeleton is Erdos-Renyi G(n, p).
 
-    Each unordered pair is connected with probability ``p``; a connected
-    pair is reciprocal with probability ``recip_prob`` and otherwise a
-    single arc with uniform random direction.
+    Each unordered pair is connected with probability ``p``: the number
+    of connected pairs is drawn from Binomial(n(n-1)/2, p), then that
+    many distinct pairs uniformly, by their row-major index.  A
+    connected pair is reciprocal with probability ``recip_prob`` and
+    otherwise a single arc with uniform random direction.
     """
     n = int(n)
     if n <= 0:
@@ -433,16 +400,12 @@ def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     if not 0 <= recip_prob <= 1:
         raise InputError("recip_prob must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    cols = np.arange(n, dtype=np.int64)
-    block = max(1, (1 << 22) // max(n, 1))
-    parts = []  # keys lo * n + hi, ascending: blocks of rows, row-major
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        u = rng.random((i1 - i0, n))
-        mask = (u < p) & (cols[None, :] > np.arange(i0, i1)[:, None])
-        r, c = np.nonzero(mask)
-        parts.append((r + i0) * n + c)
-    keys = np.concatenate(parts)
+    total = n * (n - 1) // 2
+    index = np.sort(rng.choice(total, rng.binomial(total, p), replace=False, shuffle=False))
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # starts[i]: index of the pair (i, i + 1)
+    lo = np.searchsorted(starts, index, side="right") - 1
+    keys = lo * n + lo + 1 + index - starts[lo]  # ascending, as the index is
     u2 = rng.random(len(keys))
     codes = np.full(len(keys), 2, dtype=np.int64)
     codes[u2 < 1 - recip_prob] = 1

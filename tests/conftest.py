@@ -59,13 +59,22 @@ def seeded_graph(k: int, lo=3, hi=40) -> dg.DirectedGraph:
     return dg.random_digraph(n, p, seed=int(rng.integers(2**32)), recip_prob=recip)
 
 
+def kind_arcs(g) -> dict[str, np.ndarray]:
+    """(k, 2) int64 (vertex, neighbor) rows of each edge kind, read off
+    ``connected_pairs``: the pair (lo, hi) with code 0 holds the arc
+    lo->hi, code 1 the arc hi->lo and code 2 both."""
+    pairs, codes = g.connected_pairs()
+    ahead, back, both = (pairs[codes == c] for c in range(3))
+    out = np.concatenate([ahead, back[:, ::-1]])
+    return {"+": out, "-": out[:, ::-1], "o": np.concatenate([both, both[:, ::-1]])}
+
+
 def dense_relations(g) -> dict[str, np.ndarray]:
-    """0/1 float64 matrix of each edge kind, read off kind_arrays."""
+    """0/1 float64 matrix of each edge kind, read off kind_arcs."""
     mats = {}
-    for kind in dg.EDGE_KINDS:
-        ptr, idx = g.kind_arrays(kind)
+    for kind, arcs in kind_arcs(g).items():
         a = np.zeros((g.n, g.n))
-        a[np.repeat(np.arange(g.n), np.diff(ptr)), idx] = 1.0
+        a[arcs[:, 0], arcs[:, 1]] = 1.0
         mats[kind] = a
     return mats
 

@@ -13,6 +13,7 @@ from conftest import (
     dense_relations,
     digraphs,
     graph_of_pairs,
+    kind_arcs,
     seeded_graph,
     skeleton_counts,
 )
@@ -157,10 +158,23 @@ def test_triangle_ratio(reciprocal_triangle, directed_path):
     assert dg.triangle_ratio(directed_path, 0, "-", "-", "-") == 0.0  # L = 0
     raw = dg.raw_census(reciprocal_triangle)
     assert dg.triangle_ratio(reciprocal_triangle, 1, "o", "o", "o", raw=raw) == 1.0
-    with pytest.raises(InputError):
-        dg.triangle_ratio(directed_path, 0, "x", "-", "+")
-    with pytest.raises(InputError):
-        dg.triangle_ratio(directed_path, 9, "+", "-", "+")
+    for kind in ("x", "out", "", "+-", None):
+        with pytest.raises(InputError, match="^unknown edge kind"):
+            dg.triangle_ratio(directed_path, 0, "+", "-", kind)
+    for i in (-1, 3, 9):
+        with pytest.raises(InputError, match=f"^vertex index {i} out of range$"):
+            dg.triangle_ratio(directed_path, i, "+", "-", "+")
+
+
+def test_triangle_ratio_rejects_a_census_of_another_graph():
+    g = dg.DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0), (3, 4)], n=5)
+    small = dg.raw_census(dg.DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0)], n=3))
+    relabelled = dg.raw_census(dg.DirectedGraph.from_arcs([(0, 1)], labels="abcde"))
+    for raw in (small, relabelled):
+        for i in (0, 4):
+            with pytest.raises(InputError, match="another graph"):
+                dg.triangle_ratio(g, i, "+", "-", "+", raw=raw)
+    assert dg.triangle_ratio(g, 0, "+", "-", "-", raw=dg.raw_census(g)) == 1.0
 
 
 def test_overflow_guard_trips(monkeypatch):
@@ -244,9 +258,9 @@ def spgemm_census(g) -> dg.RawCensus:
     """
     n = g.n
     mats = {}
-    for kind in EDGE_KINDS:
-        ptr, idx = g.kind_arrays(kind)
-        mats[kind] = sparse.csr_matrix((np.ones(len(idx), dtype=np.int64), idx, ptr), shape=(n, n))
+    for kind, arcs in kind_arcs(g).items():
+        ones = np.ones(len(arcs), dtype=np.int64)
+        mats[kind] = sparse.csr_matrix((ones, (arcs[:, 0], arcs[:, 1])), shape=(n, n))
     degrees = np.column_stack([np.diff(mats[kind].indptr) for kind in EDGE_KINDS]).astype(np.int64)
     base = int(degrees.sum(axis=1).max(initial=0)) + 1
     coded = sum(base**k * mats[kind] for k, kind in enumerate(EDGE_KINDS))

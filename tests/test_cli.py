@@ -12,6 +12,7 @@ import pytest
 import digraphlets as dg
 from digraphlets import analysis, cli
 from digraphlets.cli import main
+from digraphlets.errors import InputError
 from digraphlets.fileio import parse_signature_csv
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
@@ -74,6 +75,7 @@ def test_census_json_format(cycle_file, tmp_path):
     assert data["columns"] == list(dg.SIGNATURE_COLUMNS)
     assert data["index"] == ["0", "1", "2"]
     assert data["values"][0][10] == 2
+    assert {type(v) for row in data["values"] for v in row} == {int}  # as in the CSV
 
 
 def test_gcm_outputs(random_file, tmp_path):
@@ -425,6 +427,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     assert main(["gcm", "whatever", "--theta", "2"]) == 1
     assert main(["census"]) == 1
+
+
+@pytest.mark.parametrize("theta", ["0", "1", "-0.5", "1.5", "nan", "inf"])
+def test_theta_outside_the_open_unit_interval_is_refused_alike(theta, random_file, capsys):
+    message = "theta must lie strictly between 0 and 1"
+    member = dg.gcm(dg.signature_matrix(dg.load_edge_list(random_file)))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        dg.significance_mask(member, float(theta))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        dg.cohort_stats([member], float(theta))
+    assert main(["gcm", str(random_file), "--theta", theta]) == 1
+    assert capsys.readouterr().err.endswith(f"--theta: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["census", "cluster", "prune"])

@@ -1,11 +1,12 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from digraphlets.errors import InputError
-from digraphlets.fileio import fmt_number, read_text, table_csv, write_text
+from digraphlets.fileio import fmt_number, read_text, table_csv, table_json, write_text
 
 
 def reference_table_csv(corner, columns, row_labels, values):
@@ -40,6 +41,23 @@ def test_table_csv_matches_cell_by_cell_reference(values):
     columns = ["c0", "c1", "c,2", "c3"]
     got = table_csv("vertex", columns, labels, values)
     assert got == reference_table_csv("vertex", columns, labels, values)
+
+
+@pytest.mark.parametrize("values", _tables(), ids=lambda v: str(v.dtype))
+def test_table_json_holds_the_cells_of_table_csv(values):
+    """Integer and boolean cells are JSON integers, others the JSON
+    floats that the CSV cells read back as."""
+    labels = ["v0", 'q"uote', "with,comma", "x", "y", "z"][: len(values)]
+    columns = ["c0", "c1", "c,2", "c3"]
+    data = json.loads(json.dumps(table_json(columns, labels, values)))
+    assert data["columns"] == columns and data["index"] == labels
+    rows = list(csv.reader(io.StringIO(table_csv("vertex", columns, labels, values))))
+    for got, want in zip(data["values"], rows[1:], strict=True):
+        if values.dtype.kind in "biu":
+            assert [type(v) for v in got] == [int] * 4 and list(map(str, got)) == want[1:]
+        else:
+            assert [type(v) for v in got] == [float] * 4
+            assert np.array_equal(got, np.array(want[1:], dtype=float), equal_nan=True)
 
 
 def test_read_text_round_trip_and_errors(tmp_path):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import digraphlets as dg
 from digraphlets import graph as graph_module
 from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
 
-from conftest import dense_relations, digraphs, graph_of_pairs
+from conftest import dense_relations, digraphs, graph_of_pairs, kind_arcs
 
 _VERTEX_PREFIX = "# vertex:"
 
@@ -77,9 +76,8 @@ def reference_text(g: dg.DirectedGraph) -> str:
     """Line-by-line edge-list writer with a two-key sort, the reference
     for ``to_edge_list_text``."""
     lines = [f"{_VERTEX_PREFIX} {lab}" for lab in g.labels]
-    csrs = [g.kind_arrays(kind) for kind in ("+", "o")]
-    src = np.concatenate([np.repeat(np.arange(g.n), np.diff(ptr)) for ptr, _ in csrs])
-    dst = np.concatenate([idx for _, idx in csrs])
+    kinds = kind_arcs(g)
+    src, dst = np.concatenate([kinds["+"], kinds["o"]]).T
     order = np.lexsort((dst, src))
     lines.extend(f"{g.labels[s]} {g.labels[d]}" for s, d in zip(src[order], dst[order]))
     return "\n".join(lines) + "\n"
@@ -107,19 +105,22 @@ def assert_parses_like_reference(text):
     return got[0]
 
 
+def arc_list(g) -> list[tuple[int, int]]:
+    return list(zip(*(x.tolist() for x in g.arcs())))
+
+
 def test_single_arc():
     g = dg.parse_edge_list("a b\n")
     assert g.n == 2
-    assert g.neighbors(0, "+").tolist() == [1]
-    assert g.neighbors(1, "-").tolist() == [0]
-    assert g.neighbors(0, "o").tolist() == []
+    assert arc_list(g) == [(0, 1)]
+    assert g.degrees.tolist() == [[1, 0, 0], [0, 1, 0]]
     assert g.labels == ("a", "b")
 
 
 def test_reciprocal_collapse():
     g = dg.parse_edge_list("a b\nb a\n")
-    assert g.neighbors(0, "o").tolist() == [1]
-    assert g.neighbors(1, "o").tolist() == [0]
+    assert arc_list(g) == [(0, 1), (1, 0)]
+    assert g.connected_pairs()[1].tolist() == [2]
     assert g.num_pure_arcs == 0
     assert g.num_recip_pairs == 1
 
@@ -128,20 +129,20 @@ def test_self_loop_and_duplicate_policy():
     with pytest.warns(UserWarning):
         g = dg.parse_edge_list("a a\na b\na b\n")
     assert g.n == 2
-    assert g.pair_relation(0, 1) == "out"
+    assert arc_list(g) == [(0, 1)]
     assert g.num_pure_arcs == 1
 
 
 def test_labels_first_appearance_order():
     g = dg.parse_edge_list("z y\nx z\n")
     assert g.labels == ("z", "y", "x")
-    assert g.pair_relation(2, 0) == "out"
+    assert arc_list(g) == [(0, 1), (2, 0)]
 
 
 def test_csv_and_comment_lines():
     g = dg.parse_edge_list("# header\na,b\nb,c # trailing\n\n")
     assert g.labels == ("a", "b", "c")
-    assert g.pair_relation(1, 2) == "out"
+    assert arc_list(g) == [(0, 1), (1, 2)]
     same = dg.parse_edge_list("a,b\nb,c\n")
     assert same == g
 
@@ -163,7 +164,7 @@ def test_vertex_declarations_keep_isolated():
     g = dg.parse_edge_list(text)
     assert g.n == 3
     assert g.labels == ("a", "lonely", "b")
-    assert g.pair_relation(0, 2) == "out"
+    assert arc_list(g) == [(0, 2)]
     assert g.degrees[1].tolist() == [0, 0, 0]
 
 
@@ -190,51 +191,26 @@ def test_round_trip_property(g):
 def test_structural_invariants(g):
     g.validate()
     # the three relations partition each vertex's neighbors
-    for i in range(g.n):
-        sets = [set(g.neighbors(i, k).tolist()) for k in ("+", "-", "o")]
-        assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
-        assert i not in sets[0] | sets[1] | sets[2]
-
-
-def test_pair_relation_views():
-    g = dg.DirectedGraph.from_arcs([(0, 1), (2, 1), (1, 3), (3, 1)], n=5)
-    assert g.pair_relation(0, 1) == "out"
-    assert g.pair_relation(1, 0) == "in"
-    assert g.pair_relation(1, 3) == "recip"
-    assert g.pair_relation(3, 1) == "recip"
-    assert g.pair_relation(0, 4) == "none"
-    with pytest.raises(InputError):
-        g.pair_relation(2, 2)
+    vertex, _, neighbor = g.half_edges()
+    seen = list(zip(vertex.tolist(), neighbor.tolist()))
+    assert len(set(seen)) == len(seen)
+    assert not (vertex == neighbor).any()
 
 
 @settings(deadline=None, max_examples=80)
 @given(digraphs(max_n=9))
 def test_in_relation_is_transpose_of_out(g):
-    out_ptr, out_idx = g.kind_arrays("+")
-    out = sparse.csr_matrix((np.ones(len(out_idx)), out_idx, out_ptr), shape=(g.n, g.n))
-    t = out.T.tocsr()
-    t.sort_indices()
-    ptr, idx = g.kind_arrays("-")
-    assert ptr.dtype == idx.dtype == np.int64
-    assert np.array_equal(ptr, t.indptr) and np.array_equal(idx, t.indices)
+    vertex, kind, neighbor = g.half_edges()
+    half = {k: set(zip(vertex[kind == c].tolist(), neighbor[kind == c].tolist()))
+            for c, k in enumerate(dg.EDGE_KINDS)}
+    assert half["-"] == {(j, i) for i, j in half["+"]}
+    assert half["o"] == {(j, i) for i, j in half["o"]}
+    mats = dense_relations(g)
     degrees = g.degrees
     assert degrees.dtype == np.int64 and degrees.shape == (g.n, 3)
     for c, kind in enumerate(dg.EDGE_KINDS):
-        ptr, idx = g.kind_arrays(kind)
-        assert np.array_equal(degrees[:, c], np.diff(ptr))
-        for i in range(g.n):
-            got = g.neighbors(i, kind)
-            assert got.dtype == np.int64 and got.tolist() == idx[ptr[i] : ptr[i + 1]].tolist()
-    rec_ptr, rec_idx = g.kind_arrays("o")
-    rec = sparse.csr_matrix((np.ones(len(rec_idx)), rec_idx, rec_ptr), shape=(g.n, g.n))
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                seen = g.pair_relation(i, j)
-                assert (seen == "out") == (g.pair_relation(j, i) == "in")
-                assert seen == (
-                    "out" if out[i, j] else "in" if t[i, j] else "recip" if rec[i, j] else "none"
-                )
+        assert np.array_equal(degrees[:, c], mats[kind].sum(axis=1))
+        assert half[kind] == set(zip(*np.nonzero(mats[kind])))
 
 
 def test_validate_rejects_broken_graphs():
@@ -260,29 +236,6 @@ def test_validate_rejects_broken_graphs():
     valid.validate()
     arcs = [(0, 1), (0, 2), (2, 0), (2, 1)]
     assert valid == dg.DirectedGraph.from_arcs(arcs, labels=("a", "b", "c"))
-
-
-def test_vertex_indices_out_of_range_are_rejected():
-    # -1 would wrap to vertex 3, which has an arc to 2; the key of
-    # (0, 6) is that of the stored pair (1, 2)
-    g = dg.DirectedGraph.from_arcs([(3, 2), (1, 2)], n=4)
-    assert g.pair_relation(3, 2) == "out" and g.pair_relation(1, 2) == "out"
-    for i, j in ((-1, 2), (2, -1), (0, 4), (4, 0), (0, 6)):
-        with pytest.raises(InputError, match="out of range"):
-            g.pair_relation(i, j)
-    for i in (-1, 4):
-        for kind in dg.EDGE_KINDS:
-            with pytest.raises(InputError, match=f"^vertex index {i} out of range$"):
-                g.neighbors(i, kind)
-
-
-def test_unknown_edge_kind_is_rejected():
-    g = dg.DirectedGraph.from_arcs([(0, 1)], n=2)
-    for kind in ("x", "out", "", "+-", None):
-        with pytest.raises(InputError, match="^unknown edge kind"):
-            g.kind_arrays(kind)
-        with pytest.raises(InputError, match="^unknown edge kind"):
-            g.neighbors(0, kind)
 
 
 def _first_bad_label(labels):
@@ -390,9 +343,8 @@ def test_randomize_uniform_over_states():
     g = dg.DirectedGraph.from_arcs([(0, 1)], n=2)
     counts = np.zeros(3)
     for seed in range(30000):
-        r = dg.randomize_directions(g, seed=seed)
-        rel = r.pair_relation(0, 1)
-        counts[("out", "in", "recip").index(rel)] += 1
+        (code,) = dg.randomize_directions(g, seed=seed).connected_pairs()[1]
+        counts[code] += 1
     freq = counts / counts.sum()
     assert np.abs(freq - 1 / 3).max() < 0.01
 
@@ -474,7 +426,7 @@ def assert_builds_like_reference(arcs, n):
 
 @settings(deadline=None, max_examples=60)
 @given(arc_lists())
-def test_from_arcs_shuffled_with_duplicates_matches_pair_relations(case):
+def test_from_arcs_shuffled_with_duplicates_matches_a_set_based_build(case):
     assert_builds_like_reference(*case)
 
 

@@ -159,7 +159,8 @@ def test_reciprocal_formed_from_surviving_pair():
     w[0, 1] = 2.0
     w[1, 0] = 2.0
     g, t = dg.prune_weighted(dg.weighted_matrix(w))
-    assert g.pair_relation(0, 1) == "recip"
+    pairs, codes = g.connected_pairs()
+    assert pairs[0].tolist() == [0, 1] and codes[0] == 2
 
 
 def test_validation_errors():
