@@ -19,13 +19,19 @@ L_i(a, b) = sum over h in S_i^a of d_h^mirror(b) - [a == b] d_i^a.
 Both sums read the graph's half-edges, each pair seen from both ends.
 Triangles are listed once each (Chiba and Nishizeki 1985; Latapy 2008):
 of each pair's two half-edges the one seen from the lower end in (total
-degree, id) order is kept, so its kind is already seen from its tail;
-each such edge is tried with the later edges of its tail's row, and the
-closing edge is looked up among the sorted keys.  A
-tail has at most sqrt(2m) oriented edges, so at most m sqrt(2m) tries
-are made, BLOCK at a time, which bounds memory beyond O(n + m) whatever
-the degrees.  L is summed in float64 and is at most dmax^2, so
-dmax^2 >= 2^53 is refused before anything is allocated.
+degree, id) order is kept, so its kind is already seen from its tail.
+Each such edge t->u is expanded over u's own row u->w, BLOCK tries at a
+time, and the closing pair (t, w) is looked up among the sorted keys of
+the tails the block spans, not among all keys.  A bool prefilter of
+FILTER slots (256 KB), set from those keys by their low bits and cleared
+after the block, lets only the tries that may close reach the binary
+search, which confirms every hit: the filter decides no count.  Under
+that order a vertex has d+ <= sqrt(2m) later neighbors, so the tries
+number sum over u of d-(u) d+(u) <= m sqrt(2m), and a tail shared with
+the next block adds at most sqrt(2m) keys to a block's search.  Memory
+beyond O(n + m) is BLOCK and the fixed filter, whatever the degrees.
+L is summed in float64 and is at most dmax^2, so dmax^2 >= 2^53 is
+refused before any wedge is summed.
 """
 
 from __future__ import annotations
@@ -135,17 +141,18 @@ def _assignment_table() -> np.ndarray:
 
 _ASSIGNMENTS = _assignment_table()
 BLOCK = 1 << 16  # edge pairs tried at once by the triangle listing
+FILTER = 1 << 18  # slots of the bool prefilter that screens closing pairs
 
 
 def raw_census(g: DirectedGraph) -> RawCensus:
     """Count all 39 raw quantities for every vertex, exactly."""
     n = g.n
-    degrees = g.degrees
+    vertex, kind, neighbor = g.half_edges()
+    slot = vertex * 3 + kind
+    degrees = np.bincount(slot, minlength=3 * n).reshape(n, 3)
     dmax = int(degrees.sum(axis=1).max(initial=0))
     if dmax * dmax >= 1 << 53:
         raise InvariantError("counts could exceed the exact range of float64")
-    vertex, kind, neighbor = g.half_edges()
-    slot = vertex * 3 + kind
     far = degrees[neighbor]
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
     for c, seen in enumerate(EDGE_KINDS):  # far[:, c] = d_h^seen feeds L(., MIRROR[seen])
@@ -153,29 +160,40 @@ def raw_census(g: DirectedGraph) -> RawCensus:
         wedge_totals[:, w_cols] = np.bincount(slot, far[:, c], 3 * n).reshape(n, 3)
     wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
     by_rank = np.argsort(degrees.sum(axis=1), kind="stable")
-    rank = np.argsort(by_rank)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
     up = rank[vertex] < rank[neighbor]
     keys = rank[vertex[up]] * n + rank[neighbor[up]]
     order = np.argsort(keys)
     keys, kinds = keys[order], kind[up][order]
     tails, heads = np.divmod(keys, n)
-    later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(len(keys)) - 1
-    bounds = np.cumsum(np.append(0, later))  # edge e makes tries bounds[e]:bounds[e+1]
+    ptr = np.append(0, np.cumsum(np.bincount(tails, minlength=n)))  # row t is ptr[t]:ptr[t+1]
+    bounds = np.append(0, np.cumsum(np.diff(ptr)[heads]))  # edge e makes tries bounds[e]:bounds[e+1]
+    first = ptr[heads] - bounds[:-1]  # try c of edge e expands edge c + first[e]
+    row_key = keys - heads  # tails * n
+    mark = np.zeros(FILTER, dtype=bool)
     triangles = np.zeros(27 * n, dtype=np.int64)  # (n, 27), flattened
     for c0 in range(0, bounds[-1], BLOCK):
         c1 = min(c0 + BLOCK, bounds[-1])
         e0, e1 = np.searchsorted(bounds, [c0, c1 - 1], side="right") - 1
         span = np.arange(e0, e1 + 1)
         e = np.repeat(span, np.minimum(bounds[span + 1], c1) - np.maximum(bounds[span], c0))
-        f = np.arange(c0, c1) - bounds[e] + e + 1
-        close = heads[e] * n + heads[f]
-        at = np.searchsorted(keys, close).clip(max=len(keys) - 1)
-        hit = keys[at] == close
-        e, f, at = e[hit], f[hit], at[hit]
-        ends = by_rank[np.stack([tails[e], heads[e], heads[f]])]
-        code3 = 9 * kinds[e] + 3 * kinds[f] + kinds[at]
+        h = np.arange(c0, c1) + first[e]
+        close = row_key[e] + heads[h]
+        lo = ptr[tails[e0]]
+        near = keys[lo:ptr[tails[e1] + 1]]  # the rows of every tail in the block
+        slots = near & (FILTER - 1)
+        mark[slots] = True
+        maybe = np.flatnonzero(mark[close & (FILTER - 1)])
+        mark[slots] = False
+        e, h, close = e[maybe], h[maybe], close[maybe]
+        at = np.searchsorted(near, close).clip(max=len(near) - 1)
+        hit = near[at] == close
+        e, h, at = e[hit], h[hit], lo + at[hit]
+        ends = by_rank[np.stack([tails[e], heads[e], heads[h]])]
+        code3 = 9 * kinds[e] + 3 * kinds[at] + kinds[h]
         cols = ends[[0, 0, 1, 1, 2, 2]] * 27 + _ASSIGNMENTS[:, code3]
-        triangles += np.bincount(cols.ravel(), minlength=27 * n)
+        np.add.at(triangles, cols.ravel(), 1)
     wedges = wedge_totals - triangles.reshape(n, 9, 3).sum(axis=2)
     if (wedges < 0).any():
         raise InvariantError("induced wedge count went negative")

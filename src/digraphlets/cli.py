@@ -140,9 +140,12 @@ def cmd_oracle(args) -> int:
 
 def _graph_gcm(path, normalized: bool, method: str):
     g = load_edge_list(path)
-    sig = aggregate(raw_census(g))
-    table = normalize(sig) if normalized else sig
-    return gcm(table, method=method)
+    try:
+        sig = aggregate(raw_census(g))
+        table = normalize(sig) if normalized else sig
+        return gcm(table, method=method)
+    except (InputError, InvariantError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_gcm(args) -> int:
@@ -178,9 +181,11 @@ def cmd_cohort(args) -> int:
         matrices = list(map(member_gcm, paths))
     else:
         matrices = []
+        # about 4 chunks per worker: fewer round trips, still balanced
+        chunk = -(-len(paths) // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for matrix in pool.map(member_gcm, paths):
+                for matrix in pool.map(member_gcm, paths, chunksize=chunk):
                     matrices.append(matrix)
         except BrokenProcessPool as exc:
             raise InvariantError(

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,11 +180,20 @@ def test_triangle_ratio_rejects_a_census_of_another_graph():
 
 
 def test_overflow_guard_trips(monkeypatch):
-    # a real out-degree of 2^31 would take about 2^31 stored pairs
-    huge = np.array([[1 << 31, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int64)
-    monkeypatch.setattr(dg.DirectedGraph, "degrees", property(lambda g: huge))
+    # a real out-degree of 2^31 would take about 2^31 stored pairs, so the
+    # degree count, raw_census's first bincount, is faked
+    real, faked = np.bincount, []
+
+    def bincount(*args, **kwargs):
+        counts = real(*args, **kwargs)
+        if not faked:
+            faked.append(True)
+            counts[0] = 1 << 31
+        return counts
+
     g = dg.DirectedGraph.from_arcs([(0, 1)], n=3)
-    with pytest.raises(InvariantError):
+    monkeypatch.setattr(np, "bincount", bincount)
+    with pytest.raises(InvariantError, match="exact range of float64"):
         dg.raw_census(g)
 
 
@@ -305,10 +316,12 @@ def census_graphs(draw):
 def assert_census_like_reference(g):
     want = spgemm_census(g)
     with pytest.MonkeyPatch.context() as mp:
-        for block in (1, 7, census.BLOCK):
+        # one filter slot sends every closing pair on to the search
+        for block, slots in product((1, 7, census.BLOCK), (1, census.FILTER)):
             mp.setattr(census, "BLOCK", block)
+            mp.setattr(census, "FILTER", slots)
             got = dg.raw_census(g)
-            assert got == want, block
+            assert got == want, (block, slots)
             assert {a.dtype for a in (got.degrees, got.wedge_totals, got.wedges,
                                       got.triangles)} == {np.dtype(np.int64)}
 
@@ -319,9 +332,37 @@ def test_census_matches_spgemm_reference(g):
     assert_census_like_reference(g)
 
 
+def test_blocks_span_sinks_and_the_filter_aliases():
+    # 3071 leaves of degree 2 point into hubs a and b only; the hubs rank
+    # top and are not adjacent, so their rows are empty and no leaf edge is
+    # expanded.  The leaves interleave by id with degree-2 cycle vertices,
+    # so every block spans many such zero-probe tails.  With n = FILTER / 64
+    # a key's slot is (tail rank mod 64, head rank): a cycle vertex t next to
+    # a gate u (u - a) probes (t, a), whose slot a leaf's pair with a sets
+    n = census.FILTER // 64
+    a, b = n - 1, n - 2
+    rng = np.random.default_rng(7)
+    ids = np.arange(n - 2)
+    leaves, middle = ids[ids % 4 != 0], rng.permutation(ids[ids % 4 == 0])
+    pairs = [(v, hub) for v in leaves for hub in (a, b)]
+    start = 0
+    for length in np.resize([3, 4, 5], len(middle)):
+        cycle = middle[start:start + length]
+        if len(cycle) < 3:
+            break
+        pairs += zip(cycle, np.roll(cycle, 1))
+        start += length
+    pairs += [(v, a) for v in middle[::10]]
+    g = graph_of_pairs(n, pairs, rng.integers(0, 3, len(pairs)))
+    raw = dg.raw_census(g)
+    assert raw.triangles.any() and raw.wedges[leaves].any()
+    assert_census_like_reference(g)
+
+
 def test_star_is_linear():
     # an out-star's 2-path products would hold (n - 1)^2 entries; here
-    # every leaf ranks below the hub, so no pair of edges is tried at all
+    # every leaf ranks below the hub, whose row is then empty, so no edge
+    # is expanded at all
     n = 200_001
     hub = np.zeros(n - 1, dtype=np.int64)
     raw = dg.raw_census(dg.DirectedGraph.from_arcs(np.column_stack([hub, np.arange(1, n)]), n=n))

@@ -168,6 +168,17 @@ def test_cohort_non_utf8_member_exits_2(tmp_path, monkeypatch, capsys, workers):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cohort_census_errors_name_the_member(tmp_path, monkeypatch, capsys, workers):
+    d = _make_cohort(tmp_path, copies=3)
+    (d / "s01b.edgelist").write_text("a b\n")
+    monkeypatch.setenv("DIGRAPHLETS_WORKERS", workers)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {d / 's01b.edgelist'}: correlation needs at least 3 signature rows\n"
+    assert not (tmp_path / "x").exists()
+
+
 class _CrashingPool:
     """Stands in for ProcessPoolExecutor: the first result arrives, then
     the pool breaks as it does when a worker process dies."""
@@ -181,7 +192,7 @@ class _CrashingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
         yield fn(next(iter(tasks)))
         raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
@@ -208,7 +219,7 @@ def test_cohort_pool_is_bounded_by_member_count(tmp_path, monkeypatch, capsys):
             asked.append(max_workers)
             super().__init__(max_workers)
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setenv("DIGRAPHLETS_WORKERS", "64")
@@ -218,6 +229,21 @@ def test_cohort_pool_is_bounded_by_member_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _CrashingPool)
     assert main(["cohort", str(d), "--out", str(tmp_path / "y")]) == 3
     assert "(3 workers)" in capsys.readouterr().err
+
+
+def test_cohort_chunks_members_over_workers(tmp_path, monkeypatch):
+    d = _make_cohort(tmp_path, copies=9)
+    asked = []
+
+    class RecordingPool(_CrashingPool):
+        def map(self, fn, tasks, chunksize=1):
+            asked.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setenv("DIGRAPHLETS_WORKERS", "2")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 0
+    assert asked == [2]  # ceil(9 members / (4 * 2 workers))
 
 
 def test_cohort_env_validation(tmp_path, monkeypatch):
