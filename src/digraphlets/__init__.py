@@ -19,14 +19,12 @@ from .analysis import (
     ward_cluster,
 )
 from .census import (
-    NormalizedSignatureMatrix,
     RawCensus,
     SignatureMatrix,
     aggregate,
     normalize,
     raw_census,
     signature_matrix,
-    triangle_ratio,
 )
 from .errors import InputError, InvariantError, UnprunableError
 from .graph import (
@@ -65,7 +63,6 @@ __all__ = [
     "GraphletCorrelationMatrix",
     "InputError",
     "InvariantError",
-    "NormalizedSignatureMatrix",
     "RawCensus",
     "SIGNATURE_COLUMNS",
     "SignatureMatrix",
@@ -92,7 +89,6 @@ __all__ = [
     "save_edge_list",
     "signature_matrix",
     "significance_mask",
-    "triangle_ratio",
     "uniform_profile",
     "ward_cluster",
     "weighted_matrix",

@@ -87,7 +87,8 @@ class RawCensus:
 
 @dataclass(eq=False)
 class SignatureMatrix:
-    """N x 16 stack of per-vertex signature vectors (integer counts)."""
+    """N x 16 stack of per-vertex signature vectors: integer counts, or
+    float block shares once ``normalize`` has scaled them."""
 
     labels: tuple[str, ...]
     values: np.ndarray
@@ -102,28 +103,6 @@ class SignatureMatrix:
         if not isinstance(other, SignatureMatrix):
             return NotImplemented
         return self.labels == other.labels and np.array_equal(self.values, other.values)
-
-
-@dataclass(eq=False)
-class NormalizedSignatureMatrix:
-    """Blockwise-normalized signatures.
-
-    Each of the degree / wedge / triangle blocks of a row sums to 1
-    unless the vertex has no such graphlets at all, in which case the
-    block is all zeros and the corresponding zero_blocks flag is set.
-    """
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-    zero_blocks: np.ndarray
-    mode: str
-
-    columns = SIGNATURE_COLUMNS
-
-    @property
-    def isolated(self) -> np.ndarray:
-        """True for vertices with no neighbors (every block zero)."""
-        return self.zero_blocks.all(axis=1)
 
 
 def _assignment_table() -> np.ndarray:
@@ -219,7 +198,7 @@ def signature_matrix(g: DirectedGraph) -> SignatureMatrix:
     return aggregate(raw_census(g))
 
 
-def normalize(sig: SignatureMatrix, mode: str = "balanced") -> NormalizedSignatureMatrix:
+def normalize(sig: SignatureMatrix, mode: str = "balanced") -> SignatureMatrix:
     """Scale each degree / wedge / triangle block of a row to sum 1.
 
     mode='plain' divides the class counts directly by the block totals.
@@ -230,7 +209,7 @@ def normalize(sig: SignatureMatrix, mode: str = "balanced") -> NormalizedSignatu
     block-uniform profile [1/3 x3, 1/6 x6, 1/7 x7] while plain rows
     converge to the class-size shares instead.
 
-    A block whose total is zero stays all zero and is flagged.
+    A block whose total is zero stays all zero.
     """
     if mode not in ("balanced", "plain"):
         raise InputError(f"unknown normalization mode {mode!r}")
@@ -238,32 +217,9 @@ def normalize(sig: SignatureMatrix, mode: str = "balanced") -> NormalizedSignatu
     if mode == "balanced":
         v = v / CLASS_SIZES
     out = np.zeros_like(v)
-    zero_blocks = np.zeros((len(v), 3), dtype=bool)
-    for b, sl in enumerate((DEGREE_BLOCK, WEDGE_BLOCK, TRIANGLE_BLOCK)):
+    for sl in (DEGREE_BLOCK, WEDGE_BLOCK, TRIANGLE_BLOCK):
         block = v[:, sl]
         s = block.sum(axis=1, keepdims=True)
         out[:, sl] = np.divide(block, s, out=np.zeros_like(block), where=s > 0)
-        zero_blocks[:, b] = s.ravel() == 0
-    return NormalizedSignatureMatrix(sig.labels, out, zero_blocks, mode)
+    return SignatureMatrix(sig.labels, out)
 
-
-def triangle_ratio(g: DirectedGraph, i: int, alpha: str, beta: str, gamma: str,
-                   raw: RawCensus | None = None) -> float:
-    """Fraction of (alpha, beta) wedges at i closed by a gamma edge.
-
-    Generalizes the clustering coefficient: T_i(a,b,g) / L_i(a,b), with
-    0 when the vertex has no (a,b) wedges at all.  Pass a precomputed
-    raw census of ``g`` to avoid recounting.
-    """
-    for kind in (alpha, beta, gamma):
-        if kind not in EDGE_KINDS:
-            raise InputError(f"unknown edge kind {kind!r}")
-    if not 0 <= i < g.n:
-        raise InputError(f"vertex index {i} out of range")
-    if raw is None:
-        raw = raw_census(g)
-    elif raw.labels != g.labels:
-        raise InputError("raw census is of another graph: its vertex labels differ")
-    t = raw.triangles[i, TRIANGLE_INDEX[(alpha, beta, gamma)]]
-    l = raw.wedge_totals[i, WEDGE_INDEX[(alpha, beta)]]
-    return float(t) / float(l) if l else 0.0

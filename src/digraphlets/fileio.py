@@ -100,7 +100,6 @@ class SignatureTable:
     """Labelled numeric table read back from a signature CSV."""
 
     labels: tuple[str, ...]
-    columns: tuple[str, ...]
     values: np.ndarray
 
 
@@ -114,7 +113,6 @@ def parse_signature_csv(text: str) -> SignatureTable:
     header = rows[0][1]
     if len(header) < 2:
         raise InputError("signature CSV header needs vertex plus value columns")
-    columns = tuple(c.strip() for c in header[1:])
     labels = []
     values = []
     for lineno, row in rows[1:]:
@@ -133,7 +131,7 @@ def parse_signature_csv(text: str) -> SignatureTable:
         if not all(map(math.isfinite, cells)):
             raise InputError(f"line {lineno}: non-finite cell")
         values.append(cells)
-    return SignatureTable(tuple(labels), columns, np.array(values))
+    return SignatureTable(tuple(labels), np.array(values))
 
 
 def read_signature_csv(path) -> SignatureTable:

@@ -156,7 +156,7 @@ class DirectedGraph:
         return len(self.keys)
 
     # perfbench/child.py reads the lengths of these two in traced runs;
-    # they go when ROADMAP item 3 step 2 moves the bench onto the
+    # they go when ROADMAP item 1 step 2 moves the bench onto the
     # package's records.
     @property
     def out_idx(self) -> np.ndarray:
@@ -250,17 +250,16 @@ def parse_edge_list(text: str) -> DirectedGraph:
     loops = int(np.count_nonzero(loop))
     if loops:
         warnings.warn(f"dropped {loops} self-loop(s)", stacklevel=2)
+    if not names:  # then there are no arcs either, so no warning is due
+        raise InputError("edge list declares no vertices and no arcs")
     n = len(names)
     src, dst = src[~loop], dst[~loop]
-    keys = np.sort(src * n + dst)
-    dupes = int(np.count_nonzero(keys[1:] == keys[:-1]))
+    g = DirectedGraph.from_arcs(np.column_stack([src, dst]), n=n)
+    dupes = len(src) - g.num_pure_arcs - 2 * g.num_recip_pairs
     if dupes:
         warnings.warn(f"collapsed {dupes} duplicate arc(s)", stacklevel=2)
-    if not names:
-        raise InputError("edge list declares no vertices and no arcs")
-    return DirectedGraph.from_arcs(
-        np.column_stack([src, dst]), n=n, labels=tuple(names)
-    )
+    # the label check comes after both warnings
+    return DirectedGraph(n, _check_labels(names, n), g.keys, g.codes)
 
 
 def _read_blocks(lines: list[str]):

@@ -148,11 +148,8 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     Arcs are kept where |w_ij| > t, for the largest t at which at least
     ``CONNECTIVITY`` of the vertices share one weak component and every
     total degree is at least ``DEGREE_FACTOR * ln(n)``.  Raises
-    UnprunableError when even t = 0 violates a criterion.  ``w`` may be
-    a WeightedMatrix or a plain square array.
+    UnprunableError when even t = 0 violates a criterion.
     """
-    if not isinstance(w, WeightedMatrix):
-        w = weighted_matrix(np.asarray(w, dtype=np.float64))
     n = w.n
     if n < 3:
         raise InputError("pruning needs at least 3 vertices")

@@ -119,14 +119,16 @@ def test_normalize_blocks(three_cycle):
     assert np.allclose(norm.values[0, :3], [0.5, 0.5, 0.0])
     assert not norm.values[0, 3:9].any()
     assert norm.values[0, 10] == 1.0
-    assert norm.zero_blocks[0].tolist() == [False, True, False]
+    assert isinstance(norm, dg.SignatureMatrix) and norm.labels == three_cycle.labels
+    zero = [not norm.values[0, sl].any() for sl in (slice(0, 3), slice(3, 9), slice(9, 16))]
+    assert zero == [False, True, False]
 
 
 def test_normalize_zero_vertex_flagged():
     g = dg.DirectedGraph.from_arcs([(0, 1), (1, 2)], n=4)
     norm = dg.normalize(dg.signature_matrix(g))
     assert not norm.values[3].any()
-    assert norm.isolated.tolist() == [False, False, False, True]
+    assert (norm.values == 0).all(axis=1).tolist() == [False, False, False, True]
 
 
 @settings(deadline=None, max_examples=50)
@@ -152,31 +154,6 @@ def test_normalize_modes_differ():
     assert balanced.values[0, col] == pytest.approx(1 / 3)
     with pytest.raises(InputError):
         dg.normalize(sig, mode="weird")
-
-
-def test_triangle_ratio(reciprocal_triangle, directed_path):
-    assert dg.triangle_ratio(reciprocal_triangle, 0, "o", "o", "o") == 1.0
-    assert dg.triangle_ratio(directed_path, 0, "+", "-", "+") == 0.0
-    assert dg.triangle_ratio(directed_path, 0, "-", "-", "-") == 0.0  # L = 0
-    raw = dg.raw_census(reciprocal_triangle)
-    assert dg.triangle_ratio(reciprocal_triangle, 1, "o", "o", "o", raw=raw) == 1.0
-    for kind in ("x", "out", "", "+-", None):
-        with pytest.raises(InputError, match="^unknown edge kind"):
-            dg.triangle_ratio(directed_path, 0, "+", "-", kind)
-    for i in (-1, 3, 9):
-        with pytest.raises(InputError, match=f"^vertex index {i} out of range$"):
-            dg.triangle_ratio(directed_path, i, "+", "-", "+")
-
-
-def test_triangle_ratio_rejects_a_census_of_another_graph():
-    g = dg.DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0), (3, 4)], n=5)
-    small = dg.raw_census(dg.DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0)], n=3))
-    relabelled = dg.raw_census(dg.DirectedGraph.from_arcs([(0, 1)], labels="abcde"))
-    for raw in (small, relabelled):
-        for i in (0, 4):
-            with pytest.raises(InputError, match="another graph"):
-                dg.triangle_ratio(g, i, "+", "-", "+", raw=raw)
-    assert dg.triangle_ratio(g, 0, "+", "-", "-", raw=dg.raw_census(g)) == 1.0
 
 
 def test_overflow_guard_trips(monkeypatch):

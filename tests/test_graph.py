@@ -565,6 +565,7 @@ def _separated(text, style):
     # labels the graph rejects only once every line is read
     "a b, c\nd e\n",
     "# vertex: a b\n# vertex: c\na b, c\n",
+    "# vertex: a b\n# vertex: c\na b, c\na b, c\n",
     "# vertex: f # g\n",
     "a b\nb a\na b\na a\nb b\n",
     "a , b\n b ,a # x\n",

@@ -49,9 +49,9 @@ def assert_prunes_like_reference(w):
     want = _reference_threshold(w)
     if want is None:
         with pytest.raises(UnprunableError):
-            dg.prune_weighted(w)
+            dg.prune_weighted(dg.weighted_matrix(w))
     else:
-        assert dg.prune_weighted(w)[1] == want
+        assert dg.prune_weighted(dg.weighted_matrix(w))[1] == want
 
 
 def test_threshold_is_maximal():
@@ -64,7 +64,7 @@ def test_threshold_is_maximal():
     np.fill_diagonal(w, 0.0)
     weak = 0.3
     w[0, 1] = weak
-    g, t = dg.prune_weighted(w)
+    g, t = dg.prune_weighted(dg.weighted_matrix(w))
     assert t == _reference_threshold(w)
     later = np.abs(w)[np.abs(w) > t]
     if len(later):
