@@ -19,9 +19,10 @@ whitespace or a comma.  A reciprocal edge is written as its two arcs.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -30,7 +31,13 @@ from .fileio import read_parsed, write_text
 from .taxonomy import EDGE_KINDS, MIRROR
 
 _VERTEX_PREFIX = "# vertex:"
-_BLOCK_LINES = 1 << 16  # lines split at once; bounds the parser's working set
+_BLOCK_LINES = 1 << 16  # lines read at once; bounds the parser's working set
+_PREFIX_TAIL = np.frombuffer(_VERTEX_PREFIX[1:].encode(), np.uint8)
+# bulk reader byte kinds: 0 token, 1 whitespace, 2 '#', 3 ',', 4 may start a _WIDE one
+_KINDS = b"\t\n\r\x1f ", b"#", b",", b"\v\f\x1c\x1d\x1e\xc2\xe1\xe2\xe3"
+_BYTE_KIND = bytes(sum(k * (c in s) for k, s in enumerate(_KINDS, 1)) for c in range(256))
+# what str.split or str.splitlines breaks on, other than kind 1 bytes
+_WIDE = re.compile("[\v\f\x1c-\x1e\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 # a pair's code, the kind of hi seen from lo -> the kind of lo seen from hi
 _MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
 
@@ -48,10 +55,6 @@ def _whole_numbers(values, message: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(n)))
-
-
 def _check_labels(labels, n: int) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
@@ -64,6 +67,17 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
         bad = next(x for x in labels if x.split() != [x] or "," in x or "#" in x)
         raise InputError(f"invalid vertex label {bad!r}")
     return labels
+
+
+def _pack(n: int, src, dst):
+    """Ascending pair keys lo * n + hi and codes of loop-free arcs in 0..n-1."""
+    # Twice each arc's pair key, plus 1 for an arc hi->lo: once sorted,
+    # a pair's first and last entry differ iff it holds both arcs.
+    packed = np.sort((np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst))
+    keys, side = np.divmod(packed, 2)
+    first = np.diff(keys, prepend=-1) != 0
+    last = np.diff(keys, append=n * n) != 0
+    return keys[first], np.where(side[first] == side[last], side[first], 2)
 
 
 @dataclass(eq=False)
@@ -115,17 +129,8 @@ class DirectedGraph:
                 raise InputError("vertex index out of range")
             if (arcs[:, 0] == arcs[:, 1]).any():
                 raise InputError("self-loops are not allowed")
-        src, dst = arcs[:, 0], arcs[:, 1]
-        # Twice each arc's pair key, plus 1 for an arc hi->lo: once sorted,
-        # a pair's first and last entry differ iff it holds both arcs.
-        keys, side = np.divmod(
-            np.sort((np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)), 2
-        )
-        first = np.diff(keys, prepend=-1) != 0
-        last = np.diff(keys, append=n * n) != 0
-        codes = np.where(side[first] == side[last], side[first], 2)
-        labels = _default_labels(n) if labels is None else _check_labels(labels, n)
-        return cls(n, labels, keys[first], codes)
+        labels = tuple(map(str, range(n))) if labels is None else _check_labels(labels, n)
+        return cls(n, labels, *_pack(n, arcs[:, 0], arcs[:, 1]))
 
     # -- inspection ---------------------------------------------------
 
@@ -235,16 +240,15 @@ def parse_edge_list(text: str) -> DirectedGraph:
     ``to_edge_list_text`` writes the declarations followed by the arcs
     in ascending (src, dst) order.
 
-    A regular text is read in blocks of ``_BLOCK_LINES`` lines, each
-    split and mapped in bulk: every declaration comes before every arc
-    line, declared labels are unique and non-empty, every arc line holds
-    two tokens free of whitespace, and with declarations every token is
-    declared.  Saved edge lists are regular.  Any other text is read
-    again, one line at a time, up to its first faulty line.
+    A regular text is read in bulk, as bytes in blocks of ``_BLOCK_LINES``
+    lines: ``\\n`` or ``\\r\\n`` line ends and no Unicode whitespace, all
+    declarations before the first arc line, one unique label free of ``,``
+    in each, two tokens on each arc line with at most one comma between
+    them, and with declarations only declared tokens.  Saved edge lists
+    are regular.  Any other text is read again, one line at a time, up to
+    its first faulty line.
     """
-    lines = text.splitlines()
-    names, ends = _read_blocks(lines) or _read_lines(lines)
-    del lines  # the graph build below needs none of the line strings
+    names, ends = _read_blocks(text) or _read_lines(text.splitlines())
     src, dst = ends[0::2], ends[1::2]
     loop = src == dst
     loops = int(np.count_nonzero(loop))
@@ -253,83 +257,79 @@ def parse_edge_list(text: str) -> DirectedGraph:
     if not names:  # then there are no arcs either, so no warning is due
         raise InputError("edge list declares no vertices and no arcs")
     n = len(names)
-    src, dst = src[~loop], dst[~loop]
-    g = DirectedGraph.from_arcs(np.column_stack([src, dst]), n=n)
-    dupes = len(src) - g.num_pure_arcs - 2 * g.num_recip_pairs
+    keys, codes = _pack(n, src[~loop], dst[~loop])
+    dupes = len(src) - loops - len(keys) - int(np.count_nonzero(codes == 2))
     if dupes:
         warnings.warn(f"collapsed {dupes} duplicate arc(s)", stacklevel=2)
     # the label check comes after both warnings
-    return DirectedGraph(n, _check_labels(names, n), g.keys, g.codes)
+    return DirectedGraph(n, _check_labels(names, n), keys, codes)
 
 
-def _read_blocks(lines: list[str]):
-    """Labels and arc ends (src, dst, src, dst, ...) of a regular text,
-    read in blocks of ``_BLOCK_LINES`` lines; False for any other text."""
-    declared: dict[str, int] = {}
-    label_of: dict[str, int] = {}  # first-appearance ids, no declarations
-    ends: list[np.ndarray] = []  # one array per block
-    arc_read = False
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = lines[start : start + _BLOCK_LINES]
-        content = [line.partition("#")[0].strip() for line in block]
-        has = np.fromiter(map(bool, content), bool, len(content))
-        at = np.flatnonzero(has)
-        decl_at = [
-            i
-            for i in np.flatnonzero(~has).tolist()
-            if block[i].lstrip().startswith(_VERTEX_PREFIX)
-        ]
-        if decl_at:
-            if arc_read or (len(at) and at[0] < decl_at[-1]):
-                return False
-            n0 = len(declared)
-            labels = [block[i].strip()[len(_VERTEX_PREFIX) :].strip() for i in decl_at]
-            declared.update(zip(labels, count(n0)))
-            if len(declared) != n0 + len(labels) or "" in declared:
-                return False
-        arc_read = arc_read or len(at) > 0
-        tokens = _arc_tokens(list(compress(content, has.tolist())))
-        if tokens is None:
+def _read_blocks(text: str):
+    """Labels and arc ends (src, dst, src, dst, ...) of a regular text, read
+    as bytes in blocks of ``_BLOCK_LINES`` lines; False for any other text."""
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return False  # a lone '\r' breaks a line
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    # line i lies between newlines[i] and newlines[i + 1]
+    newlines = np.concatenate([[-1], np.flatnonzero(data == 10), [len(data)]])
+    # the declared labels, or else first-appearance ids; one array of ends per block
+    names, ends, declared = {}, [], False
+    for first in range(0, len(newlines) - 1, _BLOCK_LINES):
+        nl = newlines[first : first + _BLOCK_LINES + 1]
+        b, nl = data[nl[0] + 1 : nl[-1]], nl - nl[0] - 1
+        kind = np.frombuffer(b.tobytes().translate(_BYTE_KIND), np.uint8)
+        if (kind == 4).any() and _WIDE.search(b.tobytes().decode(errors="surrogatepass")):
             return False
-        if declared:
-            ids = np.fromiter(map(declared.get, tokens, repeat(-1)), np.int64, len(tokens))
-            if (ids < 0).any():
-                return False
-        else:
-            fresh = [t for t in dict.fromkeys(tokens) if t not in label_of]
-            label_of.update(zip(fresh, count(len(label_of))))
-            ids = np.fromiter(map(label_of.__getitem__, tokens), np.int64, len(tokens))
-        ends.append(ids)
-    return declared or label_of, np.concatenate([np.empty(0, np.int64), *ends])
-
-
-def _arc_tokens(body: list[str]):
-    """Flat token list of arc lines (comments and surrounding whitespace
-    removed), or None unless every line holds two tokens and every comma
-    line splits alike on its comma and on whitespace."""
-    joined = "\n".join(body)
-    if "," in joined:
-        # one comma between two non-empty fields acts as a space
-        framed = f"\n{joined}\n"
+        hidden, decl_at = np.zeros(len(b), bool), np.empty(0, np.int64)
+        hashes = np.flatnonzero(kind == 2)
+        if len(hashes):  # h: the first '#' of a line, which a declaration opens with
+            line, first_hash = np.unique(np.searchsorted(nl, hashes) - 1, return_index=True)
+            h, solid = hashes[first_hash], np.flatnonzero(kind != 1)
+            opens = solid[np.searchsorted(solid, nl[line])] == h
+            at = np.minimum(h[:, None] + np.arange(1, len(_VERTEX_PREFIX)), len(b) - 1)
+            is_decl = opens & (b[at] == _PREFIX_TAIL).all(axis=1)
+            decl_at = line[is_decl]
+            # hide a declaration's prefix, and any other line from its '#'
+            step = np.zeros(len(b) + 1, np.int8)
+            step[h], step[np.where(is_decl, h + len(_VERTEX_PREFIX), nl[line + 1])] = 1, -1
+            hidden = np.cumsum(step[:-1], dtype=np.int8).view(bool)
+            b = np.where(hidden, np.uint8(32), b)
+        blank = (kind & 1).view(bool) | hidden  # whitespace, ',' or hidden
+        starts = np.flatnonzero(~blank & np.append(True, blank[:-1]))
+        upto = np.searchsorted(starts, nl)  # tokens that start before each newline
+        per_line = np.diff(upto)
+        commas = np.flatnonzero((kind == 3) & ~hidden)
+        line = np.searchsorted(nl, commas) - 1
         if (
-            "\n," in framed
-            or ",\n" in framed
-            or max(map(str.count, body, repeat(","))) > 1
+            (per_line > 2).any()
+            or not np.array_equal(np.flatnonzero(per_line == 1), decl_at)
+            # no declaration after an arc line
+            or len(decl_at) and (sum(map(len, ends)) or (per_line[: decl_at[-1]] == 2).any())
+            # a visible comma lies between the two tokens of an arc line
+            or (np.diff(line) == 0).any()
+            or ((per_line[line] != 2) | (np.searchsorted(starts, commas) != upto[line] + 1)).any()
         ):
-            return None
-        joined = joined.replace(",", " ")
-        body = joined.split("\n")
-    if not set(map(len, map(str.split, body))) <= {2}:
-        return None
-    return joined.split()
+            return False
+        words = b.tobytes().decode(errors="surrogatepass").replace(",", " ").split()
+        labels, tokens = words[: len(decl_at)], words[len(decl_at) :]
+        declared = declared or len(labels) > 0
+        fresh = labels if declared else [t for t in dict.fromkeys(tokens) if t not in names]
+        n0 = len(names)
+        names.update(zip(fresh, count(n0)))
+        if len(names) != n0 + len(fresh):  # a label declared twice
+            return False
+        try:
+            ends.append(np.fromiter(map(names.__getitem__, tokens), np.int64, len(tokens)))
+        except KeyError:  # an undeclared token
+            return False
+    return names, np.concatenate(ends)
 
 
 def _read_lines(lines: list[str]):
     """Labels and arc ends of any text, read one line at a time; the
     first faulty line raises InputError with its line number."""
-    declared: dict[str, int] = {}
-    label_of: dict[str, int] = {}
-    ends: list[int] = []
+    declared, label_of, ends = {}, {}, []
     moved = False  # an arc between two different vertices was read
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -409,4 +409,4 @@ def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     codes = np.full(len(keys), 2, dtype=np.int64)
     codes[u2 < 1 - recip_prob] = 1
     codes[u2 < (1 - recip_prob) / 2] = 0
-    return DirectedGraph(n, _default_labels(n), keys, codes)
+    return DirectedGraph(n, tuple(map(str, range(n))), keys, codes)

@@ -489,7 +489,7 @@ def test_generators_build_what_from_arcs_builds(g, shape, seed, p, recip):
 
 
 _LABEL = st.sampled_from(["a", "b", "c", "d"])
-_PAD = st.sampled_from(["", " ", "\t", "  "])
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\x1f", "\xa0"])
 _DECLARATION = st.builds(
     "{0}# vertex:{1}{2}{0}".format,
     _PAD,
@@ -571,6 +571,23 @@ def _separated(text, style):
     "a , b\n b ,a # x\n",
     "",
     "# only a comment\n",
+    # texts the byte reader must decline or read as str.splitlines and
+    # str.split do: a comma before a '#', a '#' or ',' in a declared
+    # label, line breaks other than \n and \r\n, whitespace that is not
+    # ASCII or no line break, non-ASCII labels and lone surrogates
+    ", # vertex: a\n",
+    "# vertex: a#b\n",
+    "# vertex: ,a\n",
+    "a\rb\n",
+    "a\vb c\n",
+    "a\fb c\n",
+    "a\x1cb c\n",
+    "a\x1fb\nb\x1f\x1fc # x\n",
+    "a\xa0b c\n",
+    "a\u2028b c\n",
+    "a\x85b c\n",
+    "# vertex: Région\n# vertex: b\nRégion b # é\n",
+    "\ud800 b\nb \udfff\n",
 ])
 @pytest.mark.parametrize("style", ["auto", "whitespace", "csv"])
 def test_parser_matches_reference_on_corner_cases(text, style):
@@ -655,11 +672,32 @@ def test_regular_texts_are_read_in_bulk(monkeypatch):
         saved,
         saved.split("\n", 500)[-1] + "p q\nq p\np q\nq q\n",
         "# vertex: a\n\n# a comment\r\n# vertex: b\r\n# vertex: c\na b\r\nc c\n",
+        "# vertex: a\n# vertex: b\na b # vertex: c\nb,a # vertex: d\n",
         "# header\r\n a , b \r\n\r\nb,c # tail\r\n  \r\nc,a\r\nc ,  a\r\n",
+        # non-ASCII labels and comments, with no Unicode whitespace
+        "# vertex: Région\n# vertex: Zürich\n# vertex: 東京\nRégion Zürich\n東京,Région # ü\n",
+        # past one block: comma arcs with trailing comments
+        "".join(f"v{i % 97} ,v{i * 7 % 101} # arc {i}\n" for i in range(_BLOCK_LINES + 9)),
     ]
     monkeypatch.setattr(graph_module, "_read_lines", fail)
     for text in texts:
         assert isinstance(assert_parses_like_reference(text), dg.DirectedGraph)
+
+
+def test_bulk_byte_kinds_cover_what_str_breaks_on():
+    """The bulk reader splits on its kind 1 bytes alone and declines a
+    block holding a _WIDE character; together they must be everything
+    str.split breaks on, which includes what str.splitlines breaks on,
+    and kind 4 must mark the first byte of every _WIDE character."""
+    kind, wide = graph_module._BYTE_KIND, graph_module._WIDE
+    everything = "".join(map(chr, range(0x110000)))
+    space = [c for c in everything if c.isspace()]
+    breaks = [c for c in space if len(f"a{c}b".splitlines()) == 2]
+    assert len(everything.splitlines()) == len(breaks) + 1  # no break is missed
+    assert {i for i in range(256) if kind[i] == 1} == set(b"\t\n\r\x1f ")
+    wides = wide.findall(everything)
+    assert wides == [c for c in space if c not in "\t\n\r\x1f "]
+    assert {i for i in range(256) if kind[i] == 4} == {c.encode()[0] for c in wides}
 
 
 @pytest.mark.parametrize("line", [
