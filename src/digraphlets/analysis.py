@@ -107,13 +107,13 @@ def _pearson_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gcm(sig, method: str = "pearson") -> GraphletCorrelationMatrix:
-    """Correlate all column pairs of a signature matrix.
+    """Correlate all column pairs of a ``SignatureMatrix``.
 
-    ``sig`` is any object with ``values`` (N x k array) and ``columns``;
-    N >= 3 is required for a meaningful correlation.  ``method`` is
-    'pearson' or 'spearman' (Pearson on average-tie ranks).
+    Reads ``sig.values`` (N x k) and ``sig.columns``; N >= 3 is required
+    for a meaningful correlation.  ``method`` is 'pearson' or 'spearman'
+    (Pearson on average-tie ranks).
     """
-    x = np.asarray(getattr(sig, "values", sig), dtype=np.float64)
+    x = np.asarray(sig.values, dtype=np.float64)
     if x.ndim != 2 or len(x) < 3:
         raise InputError("correlation needs at least 3 signature rows")
     if method == "spearman":
@@ -121,20 +121,18 @@ def gcm(sig, method: str = "pearson") -> GraphletCorrelationMatrix:
     elif method != "pearson":
         raise InputError(f"unknown correlation method {method!r}")
     r, constant = _pearson_columns(x)
-    columns = getattr(sig, "columns", None)
-    if columns is None:
-        columns = tuple(f"c{k}" for k in range(x.shape[1]))
-    return GraphletCorrelationMatrix(r, tuple(columns), constant, method)
+    return GraphletCorrelationMatrix(r, tuple(sig.columns), constant, method)
 
 
 def significance_mask(matrix, theta: float = DEFAULT_THETA) -> np.ndarray:
-    """Mark entries with r > theta as +1 and r < -theta as -1.
+    """Mark entries of a ``GraphletCorrelationMatrix`` with r > theta as
+    +1 and r < -theta as -1.
 
     Inequalities are strict, so r equal to the threshold is not
     significant.  The diagonal is always 0.
     """
     _check_theta(theta)
-    values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
+    values = matrix.values
     mask = np.zeros(values.shape, dtype=np.int64)
     mask[values > theta] = 1
     mask[values < -theta] = -1
@@ -152,7 +150,7 @@ def cohort_stats(gcms, theta: float = DEFAULT_THETA) -> CohortStats:
     for g in gcms[1:]:
         if tuple(g.columns) != columns:
             raise InputError("cohort matrices have mismatched columns")
-    stack = np.stack([np.asarray(g.values, dtype=np.float64) for g in gcms])
+    stack = np.stack([g.values for g in gcms])
     pos = 100.0 * (stack > theta).mean(axis=0)
     neg = 100.0 * (stack < -theta).mean(axis=0)
     return CohortStats(pos, neg, len(gcms), theta, columns)
@@ -212,6 +210,7 @@ class Dendrogram:
             la = f"{texts[a]}:{max(h - height[a], 0.0):.9g}"
             lb = f"{texts[b]}:{max(h - height[b], 0.0):.9g}"
             texts.append(f"({la},{lb})")
+            texts[a] = texts[b] = None  # so a deep tree holds O(n) text, not O(n^2)
         return texts[-1] + ";"
 
 
@@ -222,7 +221,9 @@ def _newick_label(label: str) -> str:
 
 
 def ward_cluster(sig, standardize: bool = True) -> Dendrogram:
-    """Agglomerate signature rows under Ward's minimum-variance linkage.
+    """Agglomerate the rows of a ``SignatureMatrix``, or of the
+    ``SignatureTable`` from ``read_signature_csv``, under Ward's
+    minimum-variance linkage; reads ``sig.values`` and ``sig.labels``.
 
     Columns are z-scored first when ``standardize`` is set (constant
     columns are left at zero).  The tree is scipy's
@@ -231,13 +232,12 @@ def ward_cluster(sig, standardize: bool = True) -> Dendrogram:
     at exactly their Euclidean distance.  Tied distances break in the
     chain's order, which is deterministic for a given row order.
     """
-    x = np.asarray(getattr(sig, "values", sig), dtype=np.float64)
+    x = np.asarray(sig.values, dtype=np.float64)
     if x.ndim != 2 or len(x) < 2:
         raise InputError("clustering needs at least 2 signature rows")
     if not np.isfinite(x).all():
         raise InputError("clustering needs finite signature values")
-    labels = getattr(sig, "labels", None)
-    labels = tuple(labels) if labels else tuple(str(i) for i in range(len(x)))
+    labels = tuple(sig.labels)
     if len(labels) != len(x):
         raise InputError("label count does not match row count")
     need = 8 * len(x) * (len(x) - 1) // 2

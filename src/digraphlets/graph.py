@@ -55,6 +55,16 @@ def _whole_numbers(values, message: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def _vertex_count(n) -> int:
+    """``n`` as an int; InputError unless it is one whole number >= 1."""
+    count = _whole_numbers(n, "the vertex count must be a whole number")
+    if count.ndim:
+        raise InputError("the vertex count must be a whole number")
+    if count <= 0:
+        raise InputError("graph needs at least one vertex")
+    return int(count)
+
+
 def _check_labels(labels, n: int) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
@@ -118,12 +128,7 @@ class DirectedGraph:
             if len(arcs) == 0:
                 raise InputError("cannot infer vertex count from an empty arc list")
             n = int(arcs.max()) + 1
-        n = _whole_numbers(n, "the vertex count must be a whole number")
-        if n.ndim:
-            raise InputError("the vertex count must be a whole number")
-        n = int(n)
-        if n <= 0:
-            raise InputError("graph needs at least one vertex")
+        n = _vertex_count(n)
         if len(arcs):
             if arcs.min() < 0 or arcs.max() >= n:
                 raise InputError("vertex index out of range")
@@ -391,9 +396,7 @@ def random_digraph(n, p, seed=None, recip_prob=1 / 3) -> DirectedGraph:
     connected pair is reciprocal with probability ``recip_prob`` and
     otherwise a single arc with uniform random direction.
     """
-    n = int(n)
-    if n <= 0:
-        raise InputError("graph needs at least one vertex")
+    n = _vertex_count(n)
     if not 0 <= p <= 1:
         raise InputError("edge probability must be in [0, 1]")
     if not 0 <= recip_prob <= 1:

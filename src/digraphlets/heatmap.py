@@ -12,8 +12,6 @@ column are pale yellow (#fff3bf).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .analysis import DEFAULT_THETA
 
 POSITIVE = (0xB2, 0x18, 0x2B)
@@ -75,10 +73,10 @@ def _document(width: int, height: int, parts: list[str], caption: str) -> str:
 
 
 def render_correlation_heatmap(matrix, theta: float = DEFAULT_THETA) -> str:
-    """SVG for one correlation matrix, colored beyond +/- theta."""
-    values = np.asarray(matrix.values, dtype=np.float64)
+    """SVG for one ``GraphletCorrelationMatrix``, colored beyond +/- theta;
+    cells of its ``constant`` columns are flagged."""
+    values, constant = matrix.values, matrix.constant
     names = list(matrix.columns)
-    constant = np.asarray(getattr(matrix, "constant", np.zeros(len(names), bool)))
     k = len(names)
     colors, titles = [], []
     for i in range(k):
@@ -108,13 +106,11 @@ def render_correlation_heatmap(matrix, theta: float = DEFAULT_THETA) -> str:
 
 
 def render_cohort_heatmap(stats) -> str:
-    """SVG with side-by-side panels of positive / negative percentages."""
+    """SVG with side-by-side panels of the positive / negative
+    percentages of one ``CohortStats``."""
     names = list(stats.columns)
     k = len(names)
-    panels = (
-        ("pos", np.asarray(stats.pos_pct, dtype=np.float64), POSITIVE),
-        ("neg", np.asarray(stats.neg_pct, dtype=np.float64), NEGATIVE),
-    )
+    panels = (("pos", stats.pos_pct, POSITIVE), ("neg", stats.neg_pct, NEGATIVE))
     parts: list[str] = []
     gap = 60
     for p, (tag, pct, full) in enumerate(panels):

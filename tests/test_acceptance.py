@@ -169,13 +169,13 @@ def test_criterion_07_significance_and_cohort():
     v[0, 1] = v[1, 0] = 0.70
     v[0, 2] = v[2, 0] = 0.700001
     v[1, 2] = v[2, 1] = -0.70
-    mask = dg.significance_mask(v, theta=0.7)
+    member = dg.GraphletCorrelationMatrix(
+        v, ("a", "b", "c"), np.zeros(3, bool), "pearson")
+    mask = dg.significance_mask(member, theta=0.7)
     boundary = (
         mask[0, 1] == 0 and mask[1, 2] == 0 and mask[0, 2] == 1
         and (np.diag(mask) == 0).all()
     )
-    member = dg.GraphletCorrelationMatrix(
-        v, ("a", "b", "c"), np.zeros(3, bool), "pearson")
     stats = dg.cohort_stats([member] * 7, theta=0.7)
     cohort = (
         set(np.unique(stats.pos_pct)) <= {0.0, 100.0}
@@ -194,8 +194,7 @@ def test_criterion_08_ward_clustering():
         centers[c] + rng.normal(0, 0.5, size=(6, 16)) for c in range(3)
     ])
     truth = np.repeat(np.arange(3), 6)
-    table = type("T", (), {"values": rows, "columns": dg.SIGNATURE_COLUMNS,
-                           "labels": None})()
+    table = dg.SignatureMatrix(tuple(map(str, range(len(rows)))), rows)
     tree = dg.ward_cluster(table, standardize=True)
     got = tree.cut(3)
     mapping = {}

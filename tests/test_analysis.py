@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,15 @@ from scipy.cluster import hierarchy
 from scipy.stats import rankdata
 
 import digraphlets as dg
-from digraphlets.analysis import _rank_columns
+from digraphlets.analysis import _newick_label, _rank_columns
 from digraphlets.errors import InputError
 
 
 def _table(values, columns=None):
     values = np.asarray(values, dtype=np.float64)
     cols = tuple(columns) if columns else tuple(f"c{k}" for k in range(values.shape[1]))
-    return type("T", (), {"values": values, "columns": cols, "labels": None})()
+    labels = tuple(map(str, range(len(values))))
+    return type("T", (), {"values": values, "columns": cols, "labels": labels})()
 
 
 def test_gcm_identical_and_negated_columns():
@@ -81,20 +84,29 @@ def test_spearman_monotone_invariance():
     assert not np.allclose(p1, p2, atol=1e-6)
 
 
+def _gcm_of(values):
+    return dg.GraphletCorrelationMatrix(
+        np.asarray(values, dtype=float),
+        tuple(f"c{k}" for k in range(len(values))),
+        np.zeros(len(values), dtype=bool),
+        "pearson",
+    )
+
+
 def test_significance_mask_strict_threshold():
     v = np.eye(3)
     v[0, 1] = v[1, 0] = 0.71
     v[0, 2] = v[2, 0] = 0.70
     v[1, 2] = v[2, 1] = -0.9
-    mask = dg.significance_mask(v, 0.7)
+    mask = dg.significance_mask(_gcm_of(v), 0.7)
     assert mask[0, 1] == 1
     assert mask[0, 2] == 0
     assert mask[1, 2] == -1
     assert (np.diag(mask) == 0).all()
     with pytest.raises(InputError):
-        dg.significance_mask(v, 0.0)
+        dg.significance_mask(_gcm_of(v), 0.0)
     with pytest.raises(InputError):
-        dg.significance_mask(v, 1.0)
+        dg.significance_mask(_gcm_of(v), 1.0)
 
 
 def test_significance_mask_antisymmetric_under_negation():
@@ -104,16 +116,8 @@ def test_significance_mask_antisymmetric_under_negation():
     np.fill_diagonal(v, 1.0)
     neg = -v
     np.fill_diagonal(neg, 1.0)
-    assert np.array_equal(dg.significance_mask(neg), -dg.significance_mask(v))
-
-
-def _gcm_of(values):
-    return dg.GraphletCorrelationMatrix(
-        np.asarray(values, dtype=float),
-        tuple(f"c{k}" for k in range(len(values))),
-        np.zeros(len(values), dtype=bool),
-        "pearson",
-    )
+    assert np.array_equal(dg.significance_mask(_gcm_of(neg)),
+                          -dg.significance_mask(_gcm_of(v)))
 
 
 def test_cohort_identical_members():
@@ -127,7 +131,7 @@ def test_cohort_identical_members():
     assert (np.diag(stats.pos_pct) == 100.0).all()
     assert (np.diag(stats.neg_pct) == 0.0).all()
     assert stats.count == 10
-    mask = dg.significance_mask(v, 0.7)
+    mask = dg.significance_mask(_gcm_of(v), 0.7)
     assert np.array_equal(stats.pos_pct, 100.0 * (mask == 1) + 100.0 * np.eye(4))
 
 
@@ -365,6 +369,43 @@ def test_newick_quotes_labels_that_would_break_the_tree():
         "(v-2.5:6,(('it''s':1,'a b':1):4,"
         "('x;y':4.32,('a:b':2.71,('v(1)':2.45,'[2]':2.45):0.26):1.61):0.68):1);"
     )
+
+
+def _newick_keeping_every_text(tree):
+    """The former ``Dendrogram.newick``: every cluster's text stays in
+    ``texts`` until the end."""
+    n = tree.n
+    height = np.concatenate([np.zeros(n), tree.merges[:, 2]])
+    texts = list(map(_newick_label, tree.labels))
+    for s in range(n - 1):
+        a, b = int(tree.merges[s, 0]), int(tree.merges[s, 1])
+        h = tree.merges[s, 2]
+        la = f"{texts[a]}:{max(h - height[a], 0.0):.9g}"
+        lb = f"{texts[b]}:{max(h - height[b], 0.0):.9g}"
+        texts.append(f"({la},{lb})")
+    return texts[-1] + ";"
+
+
+def caterpillar(n):
+    """Tree on leaves ``v0``..: each merge adds one leaf, so it is n - 1 deep."""
+    merges = np.column_stack([
+        np.r_[0, np.arange(n, 2 * n - 2)], np.arange(1, n),
+        np.arange(1.0, n), np.arange(2, n + 1),
+    ]).astype(np.float64)
+    return dg.Dendrogram(merges, tuple(f"v{i}" for i in range(n)))
+
+
+def test_newick_of_a_deep_tree_holds_linear_text():
+    tree = caterpillar(3000)
+    tracemalloc.start()
+    try:
+        text = tree.newick()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 42774
+    assert peak < 10 * len(text)  # every cluster's text kept: ~1450x
+    assert text == _newick_keeping_every_text(tree)
 
 
 @settings(deadline=None, max_examples=25)

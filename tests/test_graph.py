@@ -310,6 +310,7 @@ def test_from_arcs_validation():
         ([(0, 1)], 2.9),
         ([(0, 1)], "2"),
         ([(0, 1)], [2]),
+        ([(0, 1)], True),
     ):
         with pytest.raises(InputError, match="whole number"):
             dg.DirectedGraph.from_arcs(arcs, n=n)
@@ -369,6 +370,26 @@ def test_random_digraph_edge_count_concentrates():
     mean = p * n * (n - 1) / 2
     sd = (mean * (1 - p)) ** 0.5
     assert abs(g.num_connected_pairs - mean) < 4 * sd
+
+
+def test_random_digraph_takes_its_vertex_count_as_from_arcs_does():
+    for n in (2.5, "5", True, [3]):
+        with pytest.raises(InputError, match="^the vertex count must be a whole number$"):
+            dg.random_digraph(n, 0.1, seed=0)
+    for n in (0, -3, 0.0):
+        with pytest.raises(InputError, match="^graph needs at least one vertex$"):
+            dg.random_digraph(n, 0.1, seed=0)
+    # whole numbers draw the graphs they always drew, given as floats too
+    g = dg.random_digraph(5, 0.6, seed=1)
+    assert g.keys.tolist() == [1, 2, 4, 8, 13, 19]
+    assert g.codes.tolist() == [0, 1, 2, 1, 1, 0]
+    assert dg.random_digraph(5.0, 0.6, seed=1) == g
+    g = dg.random_digraph(np.int64(12), 0.4, seed=3)
+    assert g.keys.tolist() == [3, 5, 8, 9, 10, 14, 18, 20, 29, 31, 33, 34, 35, 44,
+                               54, 56, 58, 59, 68, 94, 106]
+    assert g.codes.tolist() == [1, 1, 2, 2, 0, 1, 2, 0, 0, 2, 0, 0, 2, 1, 1, 2, 0, 2,
+                                1, 0, 1]
+    assert dg.random_digraph(12.0, 0.4, seed=3) == g
 
 
 def test_save_and_load(tmp_path):
