@@ -54,7 +54,6 @@ class GraphletCorrelationMatrix:
     values: np.ndarray
     columns: tuple[str, ...]
     constant: np.ndarray
-    method: str
 
 
 @dataclass(eq=False)
@@ -121,7 +120,7 @@ def gcm(sig, method: str = "pearson") -> GraphletCorrelationMatrix:
     elif method != "pearson":
         raise InputError(f"unknown correlation method {method!r}")
     r, constant = _pearson_columns(x)
-    return GraphletCorrelationMatrix(r, tuple(sig.columns), constant, method)
+    return GraphletCorrelationMatrix(r, tuple(sig.columns), constant)
 
 
 def significance_mask(matrix, theta: float = DEFAULT_THETA) -> np.ndarray:

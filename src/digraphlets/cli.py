@@ -149,8 +149,7 @@ def _graph_gcm(path, normalized: bool, method: str):
 
 
 def cmd_gcm(args) -> int:
-    method = "spearman" if args.spearman else "pearson"
-    matrix = _graph_gcm(args.input, args.normalized, method)
+    matrix = _graph_gcm(args.input, args.normalized, args.method)
     mask = significance_mask(matrix, args.theta)
     out = _outdir(args)
     _write_table(out / "gcm.csv", "class", matrix.columns, matrix.columns,
@@ -173,8 +172,7 @@ def cmd_cohort(args) -> int:
     )
     if not paths:
         raise InputError(f"no input files in {root}")
-    method = "spearman" if args.spearman else "pearson"
-    member_gcm = partial(_graph_gcm, normalized=args.normalized, method=method)
+    member_gcm = partial(_graph_gcm, normalized=args.normalized, method=args.method)
     # fork starts every worker up front, so never more than there are members
     workers = min(_workers(), len(paths))
     if workers == 1:
@@ -204,7 +202,7 @@ def cmd_cohort(args) -> int:
     write_json(meta, {
         "count": stats.count,
         "theta": round9(stats.theta),
-        "method": method,
+        "method": args.method,
         "normalized": bool(args.normalized),
         "files": [p.name for p in paths],
     })
@@ -276,11 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=False, fmt=False):
-        p.add_argument("--out", default=".", help="output directory")
-        if theta:
+    def common(p, correlation=False, fmt=False):
+        if correlation:
+            p.add_argument("--normalized", action="store_true",
+                           help="correlate normalized signatures")
+            p.add_argument("--spearman", dest="method", action="store_const",
+                           const="spearman", default="pearson",
+                           help="rank correlation instead of Pearson")
             p.add_argument("--theta", type=_theta, default=DEFAULT_THETA,
                            help="significance threshold in (0, 1)")
+        p.add_argument("--out", default=".", help="output directory")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="tabular output format")
@@ -298,18 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gcm", help="graphlet correlation matrix of one graph")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--normalized", action="store_true",
-                   help="correlate normalized signatures")
-    p.add_argument("--spearman", action="store_true",
-                   help="rank correlation instead of Pearson")
-    common(p, theta=True, fmt=True)
+    common(p, correlation=True, fmt=True)
     p.set_defaults(func=cmd_gcm)
 
     p = sub.add_parser("cohort", help="significance percentages over a directory")
     p.add_argument("input", help="directory of edge-list files")
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--spearman", action="store_true")
-    common(p, theta=True, fmt=True)
+    common(p, correlation=True, fmt=True)
     p.set_defaults(func=cmd_cohort)
 
     p = sub.add_parser("randomize", help="resample every edge direction")

@@ -12,6 +12,8 @@ column are pale yellow (#fff3bf).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .analysis import DEFAULT_THETA
 
 POSITIVE = (0xB2, 0x18, 0x2B)
@@ -36,97 +38,76 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _grid(parts: list[str], x0: float, y0: float, names, colors, titles) -> None:
+def _svg(names, panels, caption: str) -> str:
+    """One k x k grid per panel, side by side, above ``caption``; a panel
+    is a cell function ``(i, j) -> (fill, tooltip)``."""
     k = len(names)
-    for i in range(k):
-        y = y0 + i * _CELL
-        parts.append(
-            f'<text x="{x0 - 6}" y="{y + _CELL * 0.72:.1f}" '
-            f'text-anchor="end" class="lab">{_esc(names[i])}</text>'
-        )
-        for j in range(k):
-            x = x0 + j * _CELL
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL - 1}" height="{_CELL - 1}"'
-                f' fill="{colors[i][j]}"><title>{_esc(titles[i][j])}</title></rect>'
-            )
-    for j in range(k):
-        x = x0 + j * _CELL + _CELL * 0.72
-        parts.append(
-            f'<text x="{x:.1f}" y="{y0 - 6}" text-anchor="start" class="lab" '
-            f'transform="rotate(-90 {x:.1f} {y0 - 6})">{_esc(names[j])}</text>'
-        )
-
-
-def _document(width: int, height: int, parts: list[str], caption: str) -> str:
-    head = (
+    step = k * _CELL + _LEFT + 60
+    width = step * (len(panels) - 1) + _LEFT + k * _CELL + _PAD
+    height = _TOP + k * _CELL + 30
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
         '<style>.lab{font:10px monospace;}.cap{font:11px monospace;}</style>'
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
-    )
-    tail = (
-        f'<text x="{_LEFT}" y="{height - 8}" class="cap">{_esc(caption)}</text>'
-        "</svg>"
-    )
-    return head + "".join(parts) + tail + "\n"
+    ]
+    for p, cell in enumerate(panels):
+        x0 = _LEFT + p * step
+        for i in range(k):
+            y = _TOP + i * _CELL
+            parts.append(
+                f'<text x="{x0 - 6}" y="{y + _CELL * 0.72:.1f}" '
+                f'text-anchor="end" class="lab">{_esc(names[i])}</text>'
+            )
+            for j in range(k):
+                fill, tooltip = cell(i, j)
+                parts.append(
+                    f'<rect x="{x0 + j * _CELL}" y="{y}" width="{_CELL - 1}" '
+                    f'height="{_CELL - 1}" fill="{fill}">'
+                    f'<title>{_esc(tooltip)}</title></rect>'
+                )
+        for j in range(k):
+            x = x0 + j * _CELL + _CELL * 0.72
+            parts.append(
+                f'<text x="{x:.1f}" y="{_TOP - 6}" text-anchor="start" class="lab" '
+                f'transform="rotate(-90 {x:.1f} {_TOP - 6})">{_esc(names[j])}</text>'
+            )
+    tail = f'<text x="{_LEFT}" y="{height - 8}" class="cap">{_esc(caption)}</text>'
+    return "".join(parts) + tail + "</svg>\n"
 
 
 def render_correlation_heatmap(matrix, theta: float = DEFAULT_THETA) -> str:
     """SVG for one ``GraphletCorrelationMatrix``, colored beyond +/- theta;
     cells of its ``constant`` columns are flagged."""
-    values, constant = matrix.values, matrix.constant
-    names = list(matrix.columns)
-    k = len(names)
-    colors, titles = [], []
-    for i in range(k):
-        crow, trow = [], []
-        for j in range(k):
-            r = values[i, j]
-            if (constant[i] or constant[j]) and i != j:
-                crow.append(FLAGGED)
-            elif r > theta:
-                crow.append(_blend(POSITIVE, (r - theta) / (1 - theta)))
-            elif r < -theta:
-                crow.append(_blend(NEGATIVE, (-r - theta) / (1 - theta)))
-            else:
-                crow.append(NEUTRAL)
-            trow.append(f"{names[i]} vs {names[j]}: r={r:.3f}")
-        colors.append(crow)
-        titles.append(trow)
-    width = _LEFT + k * _CELL + _PAD
-    height = _TOP + k * _CELL + 30
-    parts: list[str] = []
-    _grid(parts, _LEFT, _TOP, names, colors, titles)
-    caption = (
-        f"red: r > {theta:.2f}  blue: r < -{theta:.2f}  "
-        "yellow: constant column"
-    )
-    return _document(width, height, parts, caption)
+    values, constant, names = matrix.values, matrix.constant, matrix.columns
+
+    def cell(i, j):
+        r = values[i, j]
+        if (constant[i] or constant[j]) and i != j:
+            fill = FLAGGED
+        elif r > theta:
+            fill = _blend(POSITIVE, (r - theta) / (1 - theta))
+        elif r < -theta:
+            fill = _blend(NEGATIVE, (-r - theta) / (1 - theta))
+        else:
+            fill = NEUTRAL
+        return fill, f"{names[i]} vs {names[j]}: r={r:.3f}"
+
+    caption = f"red: r > {theta:.2f}  blue: r < -{theta:.2f}  yellow: constant column"
+    return _svg(names, [cell], caption)
 
 
 def render_cohort_heatmap(stats) -> str:
     """SVG with side-by-side panels of the positive / negative
     percentages of one ``CohortStats``."""
-    names = list(stats.columns)
-    k = len(names)
-    panels = (("pos", stats.pos_pct, POSITIVE), ("neg", stats.neg_pct, NEGATIVE))
-    parts: list[str] = []
-    gap = 60
-    for p, (tag, pct, full) in enumerate(panels):
-        x0 = _LEFT + p * (k * _CELL + _LEFT + gap)
-        colors = [
-            [_blend(full, pct[i, j] / 100.0) for j in range(k)] for i in range(k)
-        ]
-        titles = [
-            [f"{names[i]} vs {names[j]}: {tag} {pct[i, j]:.1f}%" for j in range(k)]
-            for i in range(k)
-        ]
-        _grid(parts, x0, _TOP, names, colors, titles)
-    width = _LEFT + 2 * (k * _CELL + _LEFT + gap) - _LEFT + _PAD - gap
-    height = _TOP + k * _CELL + 30
-    caption = (
-        f"share of {stats.count} matrices with r > {stats.theta:.2f} (left) "
-        f"and r < -{stats.theta:.2f} (right)"
-    )
-    return _document(width, height, parts, caption)
+    names = stats.columns
+
+    def cell(tag, pct, full, i, j):
+        return (_blend(full, pct[i, j] / 100.0),
+                f"{names[i]} vs {names[j]}: {tag} {pct[i, j]:.1f}%")
+
+    panels = [partial(cell, "pos", stats.pos_pct, POSITIVE),
+              partial(cell, "neg", stats.neg_pct, NEGATIVE)]
+    caption = (f"share of {stats.count} matrices with r > {stats.theta:.2f} (left) "
+               f"and r < -{stats.theta:.2f} (right)")
+    return _svg(names, panels, caption)

@@ -5,12 +5,13 @@ induced subgraph directly from the pairwise relations, and accumulates
 the same 39 per-vertex quantities as the fast census.  O(n^3), capped.
 
 This module deliberately shares no counting logic with the fast
-implementation: relations come from the connected-pair list, type
-orderings are rebuilt locally, triangles and wedges are tallied by
-walking ordered assignments one at a time, and the wedge totals L are
-recovered from W plus the triangle closures rather than computed
-directly.  The only shared piece is the RawCensus container, so results
-compare with ==.
+implementation: relations come from the connected-pair list, wedge and
+triangle types are indexed here as 3*alpha + beta and 9*alpha +
+3*beta + gamma over the kinds seen from each vertex, triangles and
+wedges are tallied by walking ordered assignments one at a time, and
+the wedge totals L are recovered from W plus the triangle closures
+rather than computed directly.  The only shared piece is the RawCensus
+container, so results compare with ==.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ import numpy as np
 from .census import RawCensus
 from .errors import InputError
 from .graph import DirectedGraph
-
-_KINDS = ("+", "-", "o")
-_PAIR_TYPES = tuple(itertools.product(range(3), repeat=2))
-_TRIPLE_TYPES = tuple(itertools.product(range(3), repeat=3))
 
 # relation codes seen from the lower-indexed vertex: 0 lo->hi, 1 hi->lo,
 # 2 reciprocal; kind ints: 0 '+', 1 '-', 2 'o'

@@ -48,13 +48,20 @@ class WeightedMatrix:
 def weighted_matrix(values, labels=None) -> WeightedMatrix:
     """Validate and wrap a square weight matrix.
 
-    Entries must be finite; a nonzero diagonal is zeroed with a warning
+    Entries must convert like ``float`` (ragged, text and complex input
+    fail) and be finite; a nonzero diagonal is zeroed with a warning
     (self-coupling artifacts are common in estimated connectivity).
     Labels (default "0" .. "n-1") must pass the edge-list label rule.
     """
-    values = np.array(values, dtype=np.float64)
+    try:  # a complex array would otherwise lose its imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            values = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
+        raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InputError("weight matrix must be square")
+        shape = "x".join(map(str, values.shape)) or "a scalar"
+        raise InputError(f"weight matrix must be square, got {shape}")
     if not np.isfinite(values).all():
         raise InputError("weight matrix entries must be finite")
     n = values.shape[0]
@@ -106,16 +113,7 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     elif has_header:
         header = rows[0][1:] if len(rows[0]) == len(body[0]) + 1 else rows[0]
         labels = tuple(c.strip() for c in header)
-    try:
-        values = np.array(body, dtype=np.float64)
-    except ValueError as exc:
-        raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InputError(
-            f"weight matrix must be square, got {values.shape[0]}x"
-            f"{values.shape[1] if values.ndim == 2 else '?'}"
-        )
-    return weighted_matrix(values, labels)
+    return weighted_matrix(body, labels)
 
 
 def load_weighted_csv(path) -> WeightedMatrix:

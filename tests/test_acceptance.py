@@ -170,7 +170,7 @@ def test_criterion_07_significance_and_cohort():
     v[0, 2] = v[2, 0] = 0.700001
     v[1, 2] = v[2, 1] = -0.70
     member = dg.GraphletCorrelationMatrix(
-        v, ("a", "b", "c"), np.zeros(3, bool), "pearson")
+        v, ("a", "b", "c"), np.zeros(3, bool))
     mask = dg.significance_mask(member, theta=0.7)
     boundary = (
         mask[0, 1] == 0 and mask[1, 2] == 0 and mask[0, 2] == 1

@@ -89,7 +89,6 @@ def _gcm_of(values):
         np.asarray(values, dtype=float),
         tuple(f"c{k}" for k in range(len(values))),
         np.zeros(len(values), dtype=bool),
-        "pearson",
     )
 
 
@@ -151,7 +150,7 @@ def test_cohort_validation():
         dg.cohort_stats([], theta=0.7)
     a = _gcm_of(np.eye(3))
     b = dg.GraphletCorrelationMatrix(
-        np.eye(3), ("x", "y", "z"), np.zeros(3, bool), "pearson")
+        np.eye(3), ("x", "y", "z"), np.zeros(3, bool))
     with pytest.raises(InputError):
         dg.cohort_stats([a, b])
 

@@ -170,6 +170,10 @@ def test_validation_errors():
         dg.weighted_matrix(np.ones((3, 4)))
     with pytest.raises(InputError):
         dg.weighted_matrix(np.full((3, 3), np.nan))
+    for bad in ([[0, 1], [1]], [[0, "x"], ["x", 0]], [[0, 1j], [1, 0]],
+                np.array([[0, 1j], [1, 0]])):
+        with pytest.raises(InputError):
+            dg.weighted_matrix(bad)
     with pytest.warns(UserWarning):
         w = dg.weighted_matrix(np.ones((3, 3)))
     assert (np.diag(w.values) == 0).all()
