@@ -25,17 +25,6 @@ WARD_BUDGET_BYTES = 1 << 30
 # Default significance threshold on |r| for masks, cohorts and heatmaps.
 DEFAULT_THETA = 0.7
 
-__all__ = [
-    "GraphletCorrelationMatrix",
-    "CohortStats",
-    "Dendrogram",
-    "gcm",
-    "significance_mask",
-    "cohort_stats",
-    "ward_cluster",
-]
-
-
 def _check_theta(theta: float) -> float:
     """``theta`` itself; InputError unless 0 < theta < 1."""
     if not 0 < theta < 1:
@@ -74,18 +63,17 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     without importing ``scipy.stats``.
     """
     n = len(x)
-    order = np.argsort(x, axis=0, kind="stable")
-    s = np.take_along_axis(x, order, axis=0)
-    pos = np.arange(n)[:, None]
+    order = np.argsort(x.T, axis=1)  # ties share a mean rank: no need for stable
+    s = np.take_along_axis(x.T, order, axis=1)
     new = np.ones(s.shape, dtype=bool)
-    new[1:] = s[1:] != s[:-1]
-    last = np.ones(s.shape, dtype=bool)
-    last[:-1] = new[1:]
-    first_pos = np.maximum.accumulate(np.where(new, pos, 0), axis=0)
-    last_pos = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
-    ranks = np.empty(s.shape)
-    np.put_along_axis(ranks, order, 0.5 * (first_pos + last_pos + 2), axis=0)
-    ranks[:, np.isnan(x).any(axis=0)] = np.nan
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    group = np.cumsum(new) - 1  # tie groups numbered across all rows of s
+    size = np.bincount(group)
+    end = (np.cumsum(size) - 1) % n + 1  # each group's last 1-based rank
+    ranks = np.empty(x.shape)
+    mean = (end - 0.5 * (size - 1))[group].reshape(s.shape)
+    np.put_along_axis(ranks.T, order, mean, axis=1)
+    ranks[:, np.isnan(s).any(axis=1)] = np.nan
     return ranks
 
 

@@ -2,10 +2,12 @@
 
 Subcommands: census, gcm, cohort, randomize, prune, cluster, oracle.
 Outputs land in --out (default: current directory) under fixed file
-names so pipelines can chain commands.  Exit codes: 0 success, 1 usage
-error, 2 unusable input, 3 internal invariant violation.  The cohort
-command fans out over DIGRAPHLETS_WORKERS processes (default 1); output
-bytes are identical for any worker count.
+names so pipelines can chain commands.  Commands raise on failure and
+``main`` alone picks the exit code: 0 success, 1 usage error, 2 unusable
+input (an output directory that cannot be made or an input directory
+that cannot be listed counts as one), 3 internal invariant violation.
+The cohort command fans out over DIGRAPHLETS_WORKERS processes (default
+1); output bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -108,16 +110,11 @@ def _write_table(path_base: Path, corner, columns, labels, values, fmt: str):
     print(f"wrote {path}")
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> None:
     g = load_edge_list(args.input)
     raw = raw_census(g)
-    if args.oracle_check:
-        if oracle_census(g) != raw:
-            print(
-                "internal error: census disagrees with brute-force recount",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
+    if args.oracle_check and oracle_census(g) != raw:
+        raise InvariantError("census disagrees with brute-force recount")
     sig = aggregate(raw)
     out = _outdir(args)
     values = normalize(sig).values if args.normalized else sig.values
@@ -126,16 +123,14 @@ def cmd_census(args) -> int:
     if args.raw:
         _write_table(out / "raw_census.csv", "vertex", RAW_COLUMNS,
                      raw.labels, _raw_values(raw), args.format)
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     g = load_edge_list(args.input)
     ref = oracle_census(g, max_n=args.cap)
     out = _outdir(args)
     _write_table(out / "oracle_census.csv", "vertex", RAW_COLUMNS,
                  ref.labels, _raw_values(ref), args.format)
-    return EXIT_OK
 
 
 def _graph_gcm(path, normalized: bool, method: str):
@@ -148,7 +143,7 @@ def _graph_gcm(path, normalized: bool, method: str):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def cmd_gcm(args) -> int:
+def cmd_gcm(args) -> None:
     matrix = _graph_gcm(args.input, args.normalized, args.method)
     mask = significance_mask(matrix, args.theta)
     out = _outdir(args)
@@ -159,10 +154,9 @@ def cmd_gcm(args) -> int:
     svg = out / "gcm_heatmap.svg"
     write_text(svg, render_correlation_heatmap(matrix, args.theta))
     print(f"wrote {svg}")
-    return EXIT_OK
 
 
-def cmd_cohort(args) -> int:
+def cmd_cohort(args) -> None:
     root = Path(args.input)
     if not root.is_dir():
         raise InputError(f"{root} is not a directory")
@@ -208,20 +202,18 @@ def cmd_cohort(args) -> int:
     })
     print(f"wrote {svg}")
     print(f"wrote {meta}")
-    return EXIT_OK
 
 
-def cmd_randomize(args) -> int:
+def cmd_randomize(args) -> None:
     g = load_edge_list(args.input)
     shuffled = randomize_directions(g, seed=args.seed)
     out = _outdir(args)
     path = out / "randomized.edgelist"
     save_edge_list(shuffled, path)
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_prune(args) -> int:
+def cmd_prune(args) -> None:
     w = load_weighted_csv(args.input)
     try:
         pruned, threshold = prune_weighted(w)
@@ -241,10 +233,9 @@ def cmd_prune(args) -> int:
     })
     print(f"wrote {path}")
     print(f"threshold {round9(threshold)}")
-    return EXIT_OK
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     table = read_signature_csv(args.input)
     tree = ward_cluster(table, standardize=args.standardize)
     out = _outdir(args)
@@ -255,7 +246,6 @@ def cmd_cluster(args) -> int:
         table.labels[i] + "\n" for i in tree.leaf_order()))
     print(f"wrote {newick}")
     print(f"wrote {order}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -344,8 +334,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (InputError, UnprunableError) as exc:
+        args.func(args)
+    except (InputError, UnprunableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantError as exc:
@@ -354,6 +344,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

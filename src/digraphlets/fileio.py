@@ -33,9 +33,10 @@ def round9(x) -> float:
 
 
 def read_text(path) -> str:
-    """Whole UTF-8 file; unreadable or non-UTF-8 files raise InputError."""
+    """Whole UTF-8 file, less a leading byte-order mark; unreadable or
+    non-UTF-8 files raise InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

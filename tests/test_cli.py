@@ -1,6 +1,8 @@
 import csv
+import errno
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -16,6 +18,7 @@ from digraphlets.errors import InputError
 from digraphlets.fileio import parse_signature_csv
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
+BOM = "\ufeff".encode()
 
 
 @pytest.fixture
@@ -453,6 +456,115 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     assert main(["gcm", "whatever", "--theta", "2"]) == 1
     assert main(["census"]) == 1
+
+
+def _complete_weights(n):
+    w = np.ones((n, n)) - np.eye(n)
+    return "".join(",".join(f"{x:g}" for x in row) + "\n" for row in w)
+
+
+def test_every_subcommand_exits_0_and_prints_what_it_wrote(random_file, tmp_path, capsys):
+    d = _make_cohort(tmp_path, copies=3)
+    (tmp_path / "w.csv").write_text(_complete_weights(20))
+    o = tmp_path / "o"
+    runs = [
+        (["census", str(random_file), "--raw"], "c",
+         ["wrote {}/signature.csv", "wrote {}/raw_census.csv"]),
+        (["gcm", str(random_file), "--format", "json"], "g",
+         ["wrote {}/gcm.json", "wrote {}/gcm_mask.json", "wrote {}/gcm_heatmap.svg"]),
+        (["cohort", str(d)], "h",
+         ["wrote {}/cohort_pos.csv", "wrote {}/cohort_neg.csv",
+          "wrote {}/cohort_heatmap.svg", "wrote {}/cohort_meta.json"]),
+        (["randomize", str(random_file)], "r", ["wrote {}/randomized.edgelist"]),
+        (["prune", str(tmp_path / "w.csv")], "p",
+         ["wrote {}/pruned.edgelist", "threshold 0.0"]),
+        (["cluster", str(o / "c" / "signature.csv")], "k",
+         ["wrote {}/dendrogram.newick", "wrote {}/leaf_order.txt"]),
+        (["oracle", str(random_file)], "q", ["wrote {}/oracle_census.csv"]),
+    ]
+    for argv, sub, lines in runs:
+        assert main([*argv, "--out", str(o / sub)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == ("".join(line.format(o / sub) + "\n" for line in lines), "")
+
+
+def _blocked_out(tmp_path, kind):
+    """An --out that names an existing file, or a directory under one."""
+    blocker = tmp_path / "results.csv"
+    blocker.write_text("not a directory\n")
+    return blocker if kind == "file" else blocker / "sub"
+
+
+@pytest.mark.parametrize("kind", ["file", "under_file"])
+@pytest.mark.parametrize("command", ["census", "cohort"])
+def test_unusable_out_exits_2_naming_the_path(command, kind, random_file, tmp_path, capsys):
+    source = random_file if command == "census" else _make_cohort(tmp_path, copies=3)
+    out = _blocked_out(tmp_path, kind)
+    assert main([command, str(source), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+
+
+@pytest.mark.parametrize("kind", ["file", "under_file"])
+@pytest.mark.parametrize("command", ["census", "cohort"])
+def test_unusable_out_exits_2_from_the_module_entry_point(command, kind, random_file, tmp_path):
+    source = random_file if command == "census" else _make_cohort(tmp_path, copies=3)
+    out = _blocked_out(tmp_path, kind)
+    proc = subprocess.run(
+        [sys.executable, "-m", "digraphlets", command, str(source), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(out) in proc.stderr
+
+
+def test_unlistable_cohort_directory_exits_2(tmp_path, monkeypatch, capsys):
+    d = _make_cohort(tmp_path, copies=3)
+
+    def denied(self):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "iterdir", denied)
+    assert main(["cohort", str(d), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(d) in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_oracle_check_disagreement_exits_3(random_file, tmp_path, monkeypatch, capsys):
+    real = cli.oracle_census
+
+    def off_by_one(g, **kwargs):
+        ref = real(g, **kwargs)
+        ref.triangles[0, 0] += 1
+        return ref
+
+    monkeypatch.setattr(cli, "oracle_census", off_by_one)
+    out = tmp_path / "x"
+    assert main(["census", str(random_file), "--oracle-check", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "internal error: census disagrees with brute-force recount\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, outputs", [
+    ("census", "a b\nb c\nc a\na c\n", ["signature.csv"]),
+    ("prune", _complete_weights(20), ["pruned.edgelist", "prune_meta.json"]),
+], ids=["census", "prune"])
+def test_a_leading_byte_order_mark_is_ignored(command, text, outputs, tmp_path):
+    # unread, the mark would join the first label or, in a matrix, make the
+    # first cell non-numeric, so that the first column reads as labels
+    plain, marked = tmp_path / "plain.input", tmp_path / "marked.input"
+    plain.write_text(text)
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert main([command, str(plain), "--out", str(tmp_path / "p")]) == 0
+    assert main([command, str(marked), "--out", str(tmp_path / "m")]) == 0
+    for name in outputs:
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
 @pytest.mark.parametrize("theta", ["0", "1", "-0.5", "1.5", "nan", "inf"])

@@ -66,6 +66,8 @@ def test_read_text_round_trip_and_errors(tmp_path):
     assert read_text(path) == "a b\né c\n"
     path.write_bytes(b"a b\r\nc d\n")
     assert read_text(path) == "a b\nc d\n"  # universal newlines, as before
+    path.write_bytes("\ufeffa b\n\ufeffc d\n".encode())
+    assert read_text(path) == "a b\n\ufeffc d\n"  # a leading byte-order mark only
     path.write_bytes(b"a b\n\xff\xfe c\n")
     with pytest.raises(InputError, match="^cannot read .*t.txt: 'utf-8' codec"):
         read_text(path)
