@@ -48,19 +48,18 @@ from .taxonomy import (
     DEGREE_BLOCK,
     EDGE_KINDS,
     MIRROR,
+    RAW_CLASSES,
     SIGNATURE_COLUMNS,
     TRIANGLE_BLOCK,
-    TRIANGLE_CLASS_MEMBERS,
     TRIANGLE_INDEX,
     WEDGE_BLOCK,
-    WEDGE_CLASS_MEMBERS,
     WEDGE_INDEX,
 )
 
 
 @dataclass(eq=False)
 class RawCensus:
-    """Per-vertex raw graphlet counts, one row per vertex.
+    """Per-vertex raw graphlet counts; ``table`` is the (n, 39) RAW_COLUMNS stack.
 
     degrees: (n, 3) in EDGE_KINDS order; wedge_totals: (n, 9) L values
     and wedges: (n, 9) induced W values in WEDGE_TYPES order;
@@ -74,8 +73,8 @@ class RawCensus:
     triangles: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.degrees)
+    def table(self) -> np.ndarray:
+        return np.hstack([self.degrees, self.wedges, self.triangles])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RawCensus):
@@ -181,16 +180,7 @@ def raw_census(g: DirectedGraph) -> RawCensus:
 
 def aggregate(raw: RawCensus) -> SignatureMatrix:
     """Collapse the 39 raw quantities into the 16-class signature."""
-    values = np.zeros((raw.n, 16), dtype=np.int64)
-    values[:, DEGREE_BLOCK] = raw.degrees
-    for col, name in enumerate(SIGNATURE_COLUMNS):
-        if name in WEDGE_CLASS_MEMBERS:
-            members = [WEDGE_INDEX[t] for t in WEDGE_CLASS_MEMBERS[name]]
-            values[:, col] = raw.wedges[:, members].sum(axis=1)
-        elif name in TRIANGLE_CLASS_MEMBERS:
-            members = [TRIANGLE_INDEX[t] for t in TRIANGLE_CLASS_MEMBERS[name]]
-            values[:, col] = raw.triangles[:, members].sum(axis=1)
-    return SignatureMatrix(raw.labels, values)
+    return SignatureMatrix(raw.labels, raw.table @ RAW_CLASSES)
 
 
 def signature_matrix(g: DirectedGraph) -> SignatureMatrix:

@@ -4,8 +4,8 @@ Subcommands: census, gcm, cohort, randomize, prune, cluster, oracle.
 Outputs land in --out (default: current directory) under fixed file
 names so pipelines can chain commands.  Commands raise on failure and
 ``main`` alone picks the exit code: 0 success, 1 usage error, 2 unusable
-input (an output directory that cannot be made or an input directory
-that cannot be listed counts as one), 3 internal invariant violation.
+input (an --out under a file, refused before any input is read, or an
+input directory that cannot be listed counts as one), 3 internal error.
 The cohort command fans out over DIGRAPHLETS_WORKERS processes (default
 1); output bytes are identical for any worker count.
 """
@@ -17,14 +17,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 # Only `cluster` uses scipy.linalg (scipy.cluster loads it through
 # scipy.spatial). It loads here, as start-up cost, because perfbench times
-# start-up apart from each command's run; see ROADMAP.md, open item 4.
+# start-up apart from each command's run; see ROADMAP.md, open item 2.
 import scipy.linalg  # noqa: F401
 
 from . import __version__
@@ -96,8 +95,13 @@ def _outdir(args) -> Path:
     return out
 
 
-def _raw_values(raw) -> np.ndarray:
-    return np.hstack([raw.degrees, raw.wedges, raw.triangles])
+@contextmanager
+def _naming(path):
+    """Put ``path: `` in front of an input, invariant or pruning error."""
+    try:
+        yield
+    except (InputError, InvariantError, UnprunableError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _write_table(path_base: Path, corner, columns, labels, values, fmt: str):
@@ -112,8 +116,10 @@ def _write_table(path_base: Path, corner, columns, labels, values, fmt: str):
 
 def cmd_census(args) -> None:
     g = load_edge_list(args.input)
-    raw = raw_census(g)
-    if args.oracle_check and oracle_census(g) != raw:
+    with _naming(args.input):
+        raw = raw_census(g)
+        agrees = not args.oracle_check or oracle_census(g) == raw
+    if not agrees:
         raise InvariantError("census disagrees with brute-force recount")
     sig = aggregate(raw)
     out = _outdir(args)
@@ -122,25 +128,24 @@ def cmd_census(args) -> None:
                  sig.labels, values, args.format)
     if args.raw:
         _write_table(out / "raw_census.csv", "vertex", RAW_COLUMNS,
-                     raw.labels, _raw_values(raw), args.format)
+                     raw.labels, raw.table, args.format)
 
 
 def cmd_oracle(args) -> None:
     g = load_edge_list(args.input)
-    ref = oracle_census(g, max_n=args.cap)
+    with _naming(args.input):
+        ref = oracle_census(g, max_n=args.cap)
     out = _outdir(args)
     _write_table(out / "oracle_census.csv", "vertex", RAW_COLUMNS,
-                 ref.labels, _raw_values(ref), args.format)
+                 ref.labels, ref.table, args.format)
 
 
 def _graph_gcm(path, normalized: bool, method: str):
     g = load_edge_list(path)
-    try:
+    with _naming(path):
         sig = aggregate(raw_census(g))
         table = normalize(sig) if normalized else sig
         return gcm(table, method=method)
-    except (InputError, InvariantError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_gcm(args) -> None:
@@ -215,10 +220,8 @@ def cmd_randomize(args) -> None:
 
 def cmd_prune(args) -> None:
     w = load_weighted_csv(args.input)
-    try:
+    with _naming(args.input):
         pruned, threshold = prune_weighted(w)
-    except (InputError, UnprunableError) as exc:
-        raise type(exc)(f"{args.input}: {exc}") from exc
     out = _outdir(args)
     path = out / "pruned.edgelist"
     save_edge_list(pruned, path)
@@ -237,7 +240,8 @@ def cmd_prune(args) -> None:
 
 def cmd_cluster(args) -> None:
     table = read_signature_csv(args.input)
-    tree = ward_cluster(table, standardize=args.standardize)
+    with _naming(args.input):
+        tree = ward_cluster(table, standardize=args.standardize)
     out = _outdir(args)
     newick = out / "dendrogram.newick"
     write_text(newick, tree.newick() + "\n")
@@ -334,6 +338,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        out = Path(args.out)
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise InputError(f"--out {out} is not a directory and cannot be made one")
         args.func(args)
     except (InputError, UnprunableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,19 +96,22 @@ TRIANGLE_CLASS_MEMBERS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "t_recip": (("o", "o", "o"),),
 }
 
-#: Member-type count per signature column (degrees are single kinds).
-CLASS_SIZES = np.array(
-    [1, 1, 1]
-    + [len(WEDGE_CLASS_MEMBERS[c]) for c in SIGNATURE_COLUMNS[WEDGE_BLOCK]]
-    + [len(TRIANGLE_CLASS_MEMBERS[c]) for c in SIGNATURE_COLUMNS[TRIANGLE_BLOCK]],
-    dtype=np.int64,
-)
-
 RAW_COLUMNS = (
     tuple(f"d_{k}" for k in EDGE_KINDS)
     + tuple("w_" + "".join(t) for t in WEDGE_TYPES)
     + tuple("t_" + "".join(t) for t in TRIANGLE_TYPES)
 )
+
+# Signature class of each raw column, by name; degree kinds feed d_out, d_in, d_recip.
+_CLASS_OF = dict(zip(RAW_COLUMNS[DEGREE_BLOCK], SIGNATURE_COLUMNS[DEGREE_BLOCK]))
+_CLASS_OF.update(("w_" + "".join(t), c) for c, ts in WEDGE_CLASS_MEMBERS.items() for t in ts)
+_CLASS_OF.update(("t_" + "".join(t), c) for c, ts in TRIANGLE_CLASS_MEMBERS.items() for t in ts)
+#: (39, 16) 0/1: RAW_CLASSES[r, c] is 1 where raw column r (RAW_COLUMNS
+#: order) sums into signature column c (SIGNATURE_COLUMNS order).
+RAW_CLASSES = np.array(
+    [[_CLASS_OF[r] == c for c in SIGNATURE_COLUMNS] for r in RAW_COLUMNS], dtype=np.int64)
+#: Member-type count per signature column (degrees are single kinds).
+CLASS_SIZES = RAW_CLASSES.sum(axis=0)
 
 # Edge-kind slot counts for the 15 orbit families of 2- to 4-node
 # directed graphlets (each slot ranges over the three kinds).

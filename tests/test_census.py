@@ -107,6 +107,28 @@ def test_class_tables_cover_types_once():
     assert len(set(wedge_members)) == 9 and len(set(tri_members)) == 27
     assert len(taxonomy.WEDGE_CLASS_MEMBERS) == 6
     assert len(taxonomy.TRIANGLE_CLASS_MEMBERS) == 7
+    table = taxonomy.RAW_CLASSES
+    assert table.shape == (39, 16) and table.dtype == np.int64
+    assert np.array_equal(table[:3, :3], np.eye(3)) and not table[:3, 3:].any()
+    for rows, block in ((slice(3, 12), taxonomy.WEDGE_BLOCK),
+                        (slice(12, 39), taxonomy.TRIANGLE_BLOCK)):
+        assert (table[rows].sum(axis=1) == 1).all()
+        assert (table[rows, block].sum(axis=1) == 1).all()
+    assert taxonomy.CLASS_SIZES.tolist() == [1, 1, 1, 2, 1, 1, 2, 2, 1, 6, 2, 3, 6, 3, 6, 1]
+    # aggregate sums the member columns that the class dicts name
+    rng = np.random.default_rng(0)
+    n = 7
+    raw = dg.RawCensus(tuple("abcdefg"), *(rng.integers(0, 1000, (n, k)) for k in (3, 9, 9, 27)))
+    want = np.zeros((n, 16), dtype=np.int64)
+    want[:, :3] = raw.degrees
+    for members, counts, index in (
+            (taxonomy.WEDGE_CLASS_MEMBERS, raw.wedges, WEDGE_INDEX),
+            (taxonomy.TRIANGLE_CLASS_MEMBERS, raw.triangles, TRIANGLE_INDEX)):
+        for name, types in members.items():
+            col = taxonomy.SIGNATURE_COLUMNS.index(name)
+            want[:, col] = counts[:, [index[t] for t in types]].sum(axis=1)
+    got = dg.aggregate(raw)
+    assert got.labels == raw.labels and np.array_equal(got.values, want)
 
 
 def test_orbit_type_total():

@@ -429,7 +429,7 @@ def test_cluster_over_the_ward_budget_exits_2(random_file, tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["cluster", str(sig), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "25 rows needs 2400 bytes" in err
+    assert err.startswith(f"error: {sig}: ") and "25 rows needs 2400 bytes" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -440,9 +440,23 @@ def test_oracle_command(cycle_file, tmp_path):
     assert len(rows) == 4 and len(rows[0]) == 40
 
 
-def test_oracle_cap_exit(random_file, tmp_path):
+def test_oracle_cap_exit(random_file, tmp_path, monkeypatch, capsys):
     assert main(["oracle", str(random_file), "--cap", "10",
                  "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {random_file}: oracle capped at 10")
+    monkeypatch.setattr(cli, "oracle_census", lambda g: dg.oracle_census(g, max_n=10))
+    assert main(["census", str(random_file), "--oracle-check",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {random_file}: oracle capped at 10")
+    assert not (tmp_path / "x").exists()
+
+
+def test_cluster_of_one_row_names_the_file(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("vertex,a,b\nx,1,2\n")
+    assert main(["cluster", str(one), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {one}: clustering needs at least 2 signature rows\n")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -497,9 +511,15 @@ def _blocked_out(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["file", "under_file"])
 @pytest.mark.parametrize("command", ["census", "cohort"])
-def test_unusable_out_exits_2_naming_the_path(command, kind, random_file, tmp_path, capsys):
+def test_unusable_out_exits_2_naming_the_path(
+        command, kind, random_file, tmp_path, monkeypatch, capsys):
     source = random_file if command == "census" else _make_cohort(tmp_path, copies=3)
     out = _blocked_out(tmp_path, kind)
+
+    def unread(path):
+        pytest.fail(f"{path} was read before --out was checked")
+
+    monkeypatch.setattr(cli, "load_edge_list", unread)
     assert main([command, str(source), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
