@@ -11,8 +11,9 @@ hold after pruning:
        reciprocal edge counted once) of at least 2 * ln(n).
 
 Both criteria only lose arcs as t grows, so each holds exactly below a
-bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), the
-weight at which Kruskal's maximum spanning forest joins 99% for (i).
+bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), and
+for (i) the best window of 99% of the vertices in the order in which
+Prim's maximum spanning tree joins them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnprunableError
 from .fileio import read_parsed
@@ -88,32 +90,46 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     non-numeric; likewise the first column for row labels.  Row labels
     win when both are present.  A row with another cell count than the
     first row below the header fails as ``row N``, N counting the
-    non-blank rows.
+    non-blank rows.  Each row's cells after the first are converted to
+    floats as the row is read, so only the first row and the first
+    column are kept as text.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(
-        cell.strip() for cell in row)]
-    if not rows:
+    top, column, lengths, cells = None, [], [], []
+    for row in csv.reader(io.StringIO(text)):
+        if not any(cell.strip() for cell in row):
+            continue
+        top = top or row
+        column.append(row[0])
+        lengths.append(len(row))
+        try:
+            cells.append(np.array(row[1:], dtype=np.float64))
+        except ValueError as exc:  # raised once every row's length is checked
+            cells.append(exc)
+    if top is None:
         raise InputError("weight matrix file is empty")
     # A non-numeric cell after the first marks row 0 as column labels
     # (the corner cell may be anything, including empty).
-    has_header = any(not _is_number(c.strip()) and c.strip() != "" for c in rows[0][1:])
-    body = rows[1:] if has_header else rows
-    if not body:
+    has_header = any(not _is_number(c.strip()) and c.strip() != "" for c in top[1:])
+    if has_header:
+        del column[0], lengths[0], cells[0]
+    if not lengths:
         raise InputError("weight matrix has a header but no rows")
-    for number, row in enumerate(body, start=1 + has_header):
-        if len(row) != len(body[0]):
-            raise InputError(
-                f"row {number}: expected {len(body[0])} cells, got {len(row)}"
-            )
-    has_row_labels = any(not _is_number(r[0].strip()) for r in body)
+    for number, length in enumerate(lengths, start=1 + has_header):
+        if length != lengths[0]:
+            raise InputError(f"row {number}: expected {lengths[0]} cells, got {length}")
+    failure = next((c for c in cells if isinstance(c, ValueError)), None)
+    if failure is not None:
+        raise InputError(f"non-numeric cell in weight matrix: {failure}") from failure
+    values = np.array(cells)
+    has_row_labels = any(not _is_number(c.strip()) for c in column)
     labels = None
     if has_row_labels:
-        labels = tuple(r[0].strip() for r in body)
-        body = [r[1:] for r in body]
-    elif has_header:
-        header = rows[0][1:] if len(rows[0]) == len(body[0]) + 1 else rows[0]
-        labels = tuple(c.strip() for c in header)
-    return weighted_matrix(body, labels)
+        labels = tuple(c.strip() for c in column)
+    else:
+        values = np.hstack((np.array(column, dtype=np.float64)[:, None], values))
+        if has_header:
+            labels = tuple(c.strip() for c in (top[1:] if len(top) == lengths[0] + 1 else top))
+    return weighted_matrix(values, labels)
 
 
 def load_weighted_csv(path) -> WeightedMatrix:
@@ -121,8 +137,8 @@ def load_weighted_csv(path) -> WeightedMatrix:
     return read_parsed(path, parse_weighted_csv)
 
 
-def _largest_sizes(n: int, pairs):
-    """Yield the largest component size as each (a, b) pair joins."""
+def _largest_component(n: int, pairs) -> int:
+    """Size of the largest component that the (a, b) pairs make of n vertices."""
     parent = list(range(n))
     size = [1] * n
     largest = 1
@@ -137,7 +153,7 @@ def _largest_sizes(n: int, pairs):
             parent[b] = a
             size[a] += size[b]
             largest = max(largest, size[a])
-        yield largest
+    return largest
 
 
 def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
@@ -157,13 +173,21 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     # degree: row i keeps k neighbours exactly while t < its k-th largest
     k = math.ceil(DEGREE_FACTOR * math.log(n))
     t_deg = np.partition(sym, n - k, axis=1)[:, n - k].min()
-    # connectivity: every pair heavier than the joining one is already in
-    rows, cols = np.triu_indices(n, 1)
-    weights = sym[rows, cols]
-    order = np.argsort(-weights)[: np.count_nonzero(weights)]
-    sizes = _largest_sizes(n, zip(rows[order].tolist(), cols[order].tolist()))
-    t_conn = next((t for t, size in zip(weights[order].tolist(), sizes)
-                   if size >= CONNECTIVITY * n), 0.0)
+    # connectivity: in the order in which Prim's maximum spanning tree
+    # joins the vertices, every component of {sym >= w} is a run, and
+    # each vertex after a run's first joins by a pair of weight >= w; so
+    # 99% share a component exactly while that many - 1 join weights in a
+    # row are >= w
+    joined = np.empty(n - 1)
+    best = sym[0].copy()
+    best[0] = -1.0  # in the tree; weights are >= 0
+    for i in range(n - 1):
+        v = best.argmax()
+        joined[i] = best[v]
+        best[v] = -1.0
+        np.maximum(best, sym[v], out=best, where=best >= 0)
+    window = math.ceil(CONNECTIVITY * n) - 1
+    t_conn = sliding_window_view(joined, window).min(axis=1).max()
     bound = min(t_deg, t_conn)
     if bound <= 0:
         raise UnprunableError("no threshold satisfies the connectivity and "
@@ -177,7 +201,7 @@ def skeleton_summary(graph: DirectedGraph) -> dict:
     """Connectivity facts about a graph's undirected skeleton."""
     degrees = graph.degrees.sum(axis=1)
     pairs, _ = graph.connected_pairs()
-    largest = max(_largest_sizes(graph.n, pairs.tolist()), default=1)
+    largest = _largest_component(graph.n, pairs.tolist())
     return {
         "largest_component_fraction": largest / graph.n,
         "min_total_degree": int(degrees.min()),

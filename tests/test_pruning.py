@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import digraphlets as dg
 from digraphlets.errors import InputError, UnprunableError
@@ -120,6 +121,34 @@ def _largest_component(skel):
     return best
 
 
+def test_one_percent_may_stay_outside_the_largest_component():
+    # A component outside the largest one passes the degree floor only
+    # with ceil(2 ln n) + 1 vertices, and at most n - ceil(0.99 n) may stay
+    # outside. The number allowed first reaches the number needed at
+    # n = 1600 (16 each), so below that the allowance cannot change t.
+    # Without the allowance, t would be 0 here.
+    n, clique = 1700, 16
+    rng = np.random.default_rng(0)
+    half = np.arange(n) % 2
+    w = np.where(half[:, None] == half[None, :], rng.integers(6, 10, (n, n)),
+                 rng.integers(2, 6, (n, n))).astype(float)
+    w[-clique:, :] = w[:, -clique:] = 1.0
+    w[-clique:, -clique:] = 9.0
+    np.fill_diagonal(w, 0.0)
+    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    assert t == 4.0
+    assert skeleton_summary(g)["largest_component_fraction"] == 1684 / n
+
+    def feasible(t):  # both criteria on the dense skeleton, through scipy
+        skel = np.abs(w) > t
+        skel |= skel.T
+        _, labels = connected_components(skel, directed=False)
+        return (skel.sum(axis=1) >= 2 * math.log(n)).all() and (
+            np.bincount(labels).max() >= 0.99 * n)
+
+    assert feasible(4.0) and not feasible(5.0)
+
+
 def test_unprunable_isolated_clique():
     n = 20
     w = np.zeros((n, n))
@@ -223,6 +252,8 @@ def test_parse_weighted_csv_variants():
     ("a,b,c\n0,1,2\n1,0\n2,1,0\n", "row 3: expected 3 cells, got 2"),
     ("0,1,2\n\n1,0,2,3\n2,1,0\n", "row 2: expected 3 cells, got 4"),
     (",a,b\na,0,1\nb,1\n", "row 3: expected 3 cells, got 2"),
+    # a ragged row is named before a non-numeric cell above it
+    ("0,1,2\n1,x,2\n2,1\n", "row 3: expected 3 cells, got 2"),
 ])
 def test_parse_weighted_csv_names_a_ragged_row(text, message):
     with pytest.raises(InputError, match=f"^{message}$"):
