@@ -13,7 +13,8 @@ hold after pruning:
 Both criteria only lose arcs as t grows, so each holds exactly below a
 bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), and
 for (i) the best window of 99% of the vertices in the order in which
-Prim's maximum spanning tree joins them.
+Prim's maximum spanning tree joins them.  The same Prim pass over the
+pruned skeleton gives ``skeleton_summary``'s largest component.
 """
 
 from __future__ import annotations
@@ -137,23 +138,25 @@ def load_weighted_csv(path) -> WeightedMatrix:
     return read_parsed(path, parse_weighted_csv)
 
 
-def _largest_component(n: int, pairs) -> int:
-    """Size of the largest component that the (a, b) pairs make of n vertices."""
-    parent = list(range(n))
-    size = [1] * n
-    largest = 1
-    for a, b in pairs:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            largest = max(largest, size[a])
-    return largest
+def _join_weights(sym: np.ndarray) -> np.ndarray:
+    """The n - 1 weights, in ``sym``'s dtype and join order, by which
+    Prim's maximum spanning tree grown from vertex 0 joins the others.
+
+    ``sym`` is symmetric and >= 0.  For every w, each component of
+    ``{sym > w}`` is a run of that order that begins at vertex 0 or at
+    a join weight <= w: Prim takes a pair <= w only once no pair > w
+    leaves the tree.
+    """
+    n = len(sym)
+    joined = np.empty(n - 1, dtype=sym.dtype)
+    best = sym[0].copy()
+    best[0] = -1  # in the tree
+    for i in range(n - 1):
+        v = best.argmax()
+        joined[i] = best[v]
+        best[v] = -1
+        np.maximum(best, sym[v], out=best, where=best >= 0)
+    return joined
 
 
 def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
@@ -173,21 +176,10 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     # degree: row i keeps k neighbours exactly while t < its k-th largest
     k = math.ceil(DEGREE_FACTOR * math.log(n))
     t_deg = np.partition(sym, n - k, axis=1)[:, n - k].min()
-    # connectivity: in the order in which Prim's maximum spanning tree
-    # joins the vertices, every component of {sym >= w} is a run, and
-    # each vertex after a run's first joins by a pair of weight >= w; so
-    # 99% share a component exactly while that many - 1 join weights in a
-    # row are >= w
-    joined = np.empty(n - 1)
-    best = sym[0].copy()
-    best[0] = -1.0  # in the tree; weights are >= 0
-    for i in range(n - 1):
-        v = best.argmax()
-        joined[i] = best[v]
-        best[v] = -1.0
-        np.maximum(best, sym[v], out=best, where=best >= 0)
+    # connectivity: ceil(0.99 n) vertices share a component exactly
+    # while that many - 1 join weights in a row are > t
     window = math.ceil(CONNECTIVITY * n) - 1
-    t_conn = sliding_window_view(joined, window).min(axis=1).max()
+    t_conn = sliding_window_view(_join_weights(sym), window).min(axis=1).max()
     bound = min(t_deg, t_conn)
     if bound <= 0:
         raise UnprunableError("no threshold satisfies the connectivity and "
@@ -198,12 +190,18 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
 
 
 def skeleton_summary(graph: DirectedGraph) -> dict:
-    """Connectivity facts about a graph's undirected skeleton."""
-    degrees = graph.degrees.sum(axis=1)
-    pairs, _ = graph.connected_pairs()
-    largest = _largest_component(graph.n, pairs.tolist())
+    """Connectivity facts about a graph's undirected skeleton.
+
+    O(n^2) time and n^2 bytes (a Prim pass over the dense 0/1 skeleton),
+    the same order as ``prune``, whose output this checks.
+    """
+    n = graph.n
+    skel = np.zeros((n, n), dtype=np.int8)
+    lo, hi = np.divmod(graph.keys, n)
+    skel[lo, hi] = skel[hi, lo] = 1
+    cuts = np.flatnonzero(np.r_[True, _join_weights(skel) == 0, True])
     return {
-        "largest_component_fraction": largest / graph.n,
-        "min_total_degree": int(degrees.min()),
-        "degree_floor": DEGREE_FACTOR * math.log(graph.n),
+        "largest_component_fraction": int(np.diff(cuts).max()) / n,
+        "min_total_degree": int(graph.degrees.sum(axis=1).min()),
+        "degree_floor": DEGREE_FACTOR * math.log(n),
     }

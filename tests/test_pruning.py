@@ -316,6 +316,9 @@ def test_skeleton_summary_matches_dense_reference():
     graphs.append(dg.random_digraph(60, 0.03, seed=4))
     graphs.append(dg.DirectedGraph.from_arcs([(0, 1), (2, 3), (3, 2)], n=7))
     graphs.append(dg.DirectedGraph.from_arcs([], n=5))
+    graphs.append(dg.DirectedGraph.from_arcs([], n=1))  # no join weights
+    # vertex 0 isolated; the largest component joins later
+    graphs.append(dg.DirectedGraph.from_arcs([(1, 2), (2, 3), (3, 1), (4, 5)], n=6))
     for g in graphs:
         assert skeleton_summary(g) == _dense_summary(g)
     fractions = {skeleton_summary(g)["largest_component_fraction"] for g in graphs}
