@@ -17,7 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .analysis import (
     ward_cluster,
 )
 from .census import aggregate, normalize, raw_census
-from .errors import InputError, InvariantError, UnprunableError
+from .errors import InputError, InvariantError, UnprunableError, naming
 from .fileio import (
     read_signature_csv,
     round9,
@@ -95,15 +94,6 @@ def _outdir(args) -> Path:
     return out
 
 
-@contextmanager
-def _naming(path):
-    """Put ``path: `` in front of an input, invariant or pruning error."""
-    try:
-        yield
-    except (InputError, InvariantError, UnprunableError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def _write_table(path_base: Path, corner, columns, labels, values, fmt: str):
     if fmt == "json":
         path = path_base.with_suffix(".json")
@@ -116,7 +106,7 @@ def _write_table(path_base: Path, corner, columns, labels, values, fmt: str):
 
 def cmd_census(args) -> None:
     g = load_edge_list(args.input)
-    with _naming(args.input):
+    with naming(args.input):
         raw = raw_census(g)
         agrees = not args.oracle_check or oracle_census(g) == raw
     if not agrees:
@@ -133,7 +123,7 @@ def cmd_census(args) -> None:
 
 def cmd_oracle(args) -> None:
     g = load_edge_list(args.input)
-    with _naming(args.input):
+    with naming(args.input):
         ref = oracle_census(g, max_n=args.cap)
     out = _outdir(args)
     _write_table(out / "oracle_census.csv", "vertex", RAW_COLUMNS,
@@ -142,7 +132,7 @@ def cmd_oracle(args) -> None:
 
 def _graph_gcm(path, normalized: bool, method: str):
     g = load_edge_list(path)
-    with _naming(path):
+    with naming(path):
         sig = aggregate(raw_census(g))
         table = normalize(sig) if normalized else sig
         return gcm(table, method=method)
@@ -220,13 +210,14 @@ def cmd_randomize(args) -> None:
 
 def cmd_prune(args) -> None:
     w = load_weighted_csv(args.input)
-    with _naming(args.input):
+    with naming(args.input):
         pruned, threshold = prune_weighted(w)
     out = _outdir(args)
     path = out / "pruned.edgelist"
     save_edge_list(pruned, path)
     summary = skeleton_summary(pruned)
-    write_json(out / "prune_meta.json", {
+    meta = out / "prune_meta.json"
+    write_json(meta, {
         "threshold": round9(threshold),
         "vertices": pruned.n,
         "arcs": pruned.num_pure_arcs + 2 * pruned.num_recip_pairs,
@@ -235,12 +226,13 @@ def cmd_prune(args) -> None:
         "degree_floor": round9(summary["degree_floor"]),
     })
     print(f"wrote {path}")
+    print(f"wrote {meta}")
     print(f"threshold {round9(threshold)}")
 
 
 def cmd_cluster(args) -> None:
     table = read_signature_csv(args.input)
-    with _naming(args.input):
+    with naming(args.input):
         tree = ward_cluster(table, standardize=args.standardize)
     out = _outdir(args)
     newick = out / "dendrogram.newick"

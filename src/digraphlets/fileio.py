@@ -9,12 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, naming
 
 
 def fmt_number(x) -> str:
@@ -45,10 +44,8 @@ def read_text(path) -> str:
 def read_parsed(path, parse):
     """``parse`` of a file's text; every InputError names the file."""
     text = read_text(path)
-    try:
+    with naming(path):
         return parse(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:
@@ -104,19 +101,28 @@ class SignatureTable:
     values: np.ndarray
 
 
-def parse_signature_csv(text: str) -> SignatureTable:
-    """Table of a header row and per-vertex rows of finite numbers; an
-    error names the physical line its row ends on, blank lines counted."""
+def csv_rows(text: str):
+    """``(line, cells, values)`` of each row with a non-blank cell: the line it ends on,
+    its cells, and those after the first as float64, or the ValueError ``float()`` gives."""
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, r) for r in reader if r]
-    if len(rows) < 2:
-        raise InputError("signature CSV needs a header and at least one row")
-    header = rows[0][1]
-    if len(header) < 2:
-        raise InputError("signature CSV header needs vertex plus value columns")
-    labels = []
-    values = []
-    for lineno, row in rows[1:]:
+    for cells in reader:
+        if any(cell.strip() for cell in cells):
+            try:
+                values = np.array(cells[1:], dtype=np.float64)
+            except ValueError as exc:
+                values = exc
+            yield reader.line_num, cells, values
+
+
+def parse_signature_csv(text: str) -> SignatureTable:
+    """Table of a header row and uniquely labelled rows of finite numbers; an
+    error names the physical line its row ends on, blank lines counted."""
+    rows = csv_rows(text)
+    header = next(rows, (0, ()))[1]
+    table = {}  # label: (line, values), in row order
+    for lineno, row, numbers in rows:
+        if len(header) < 2:  # a header with no row below fails as such, after the loop
+            raise InputError("signature CSV header needs vertex plus value columns")
         if len(row) != len(header):
             raise InputError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
@@ -124,15 +130,18 @@ def parse_signature_csv(text: str) -> SignatureTable:
         label = row[0].strip()
         if "\n" in label or "\r" in label:
             raise InputError(f"line {lineno}: label holds a line break")
-        labels.append(label)
-        try:
-            cells = [float(c) for c in row[1:]]
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: non-numeric cell: {exc}") from exc
-        if not all(map(math.isfinite, cells)):
+        if label in table:
+            raise InputError(
+                f"line {lineno}: duplicate label {label!r} (first on line {table[label][0]})"
+            )
+        if isinstance(numbers, ValueError):
+            raise InputError(f"line {lineno}: non-numeric cell: {numbers}") from numbers
+        if not np.isfinite(numbers).all():
             raise InputError(f"line {lineno}: non-finite cell")
-        values.append(cells)
-    return SignatureTable(tuple(labels), np.array(values))
+        table[label] = lineno, numbers
+    if not table:
+        raise InputError("signature CSV needs a header and at least one row")
+    return SignatureTable(tuple(table), np.array([v for _, v in table.values()]))
 
 
 def read_signature_csv(path) -> SignatureTable:

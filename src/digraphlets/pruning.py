@@ -19,8 +19,6 @@ pruned skeleton gives ``skeleton_summary``'s largest component.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnprunableError
-from .fileio import read_parsed
+from .fileio import csv_rows, read_parsed
 from .graph import DirectedGraph, _check_labels
 
 CONNECTIVITY = 0.99  # least share of vertices in the largest weak component
@@ -96,16 +94,11 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     column are kept as text.
     """
     top, column, lengths, cells = None, [], [], []
-    for row in csv.reader(io.StringIO(text)):
-        if not any(cell.strip() for cell in row):
-            continue
+    for _, row, values in csv_rows(text):
         top = top or row
         column.append(row[0])
         lengths.append(len(row))
-        try:
-            cells.append(np.array(row[1:], dtype=np.float64))
-        except ValueError as exc:  # raised once every row's length is checked
-            cells.append(exc)
+        cells.append(values)  # a ValueError is raised once every row's length is checked
     if top is None:
         raise InputError("weight matrix file is empty")
     # A non-numeric cell after the first marks row 0 as column labels

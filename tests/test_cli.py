@@ -3,6 +3,7 @@ import errno
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -409,9 +410,12 @@ def test_cluster_names_the_file_in_parse_errors(tmp_path, capsys):
     ("vertex,a,b\n\n\n0,1,2\n\n1,3\n", "line 6: expected 3 cells, got 2"),
     ("vertex,a\n\n\nx,1\ny,oops\n", "line 5: non-numeric cell: "),
     ("vertex,a,b\r\n\r\n0,1,2\r\n\r\n\r\n1,nan,3\r\n", "line 6: non-finite cell"),
+    # all-blank rows are skipped like empty ones, and counted like them
+    ("vertex,a,b\n0,1,2\n,,\n   \n1,x,3\n", "line 5: non-numeric cell: "),
+    ("vertex,a,b\n0,1,2\n , ,\t\n0,3,4\n", "line 4: duplicate label '0' (first on line 2)"),
 ])
 def test_signature_csv_errors_name_the_physical_line(tmp_path, capsys, text, message):
-    with pytest.raises(dg.InputError, match=f"^{message}"):
+    with pytest.raises(dg.InputError, match=f"^{re.escape(message)}"):
         parse_signature_csv(text)
     path = tmp_path / "sig.csv"
     path.write_bytes(text.encode())
@@ -491,7 +495,7 @@ def test_every_subcommand_exits_0_and_prints_what_it_wrote(random_file, tmp_path
           "wrote {}/cohort_heatmap.svg", "wrote {}/cohort_meta.json"]),
         (["randomize", str(random_file)], "r", ["wrote {}/randomized.edgelist"]),
         (["prune", str(tmp_path / "w.csv")], "p",
-         ["wrote {}/pruned.edgelist", "threshold 0.0"]),
+         ["wrote {}/pruned.edgelist", "wrote {}/prune_meta.json", "threshold 0.0"]),
         (["cluster", str(o / "c" / "signature.csv")], "k",
          ["wrote {}/dendrogram.newick", "wrote {}/leaf_order.txt"]),
         (["oracle", str(random_file)], "q", ["wrote {}/oracle_census.csv"]),

@@ -1,12 +1,23 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraphlets.errors import InputError
-from digraphlets.fileio import fmt_number, read_text, table_csv, table_json, write_text
+from digraphlets.fileio import (
+    SignatureTable,
+    fmt_number,
+    parse_signature_csv,
+    read_text,
+    table_csv,
+    table_json,
+    write_text,
+)
 
 
 def reference_table_csv(corner, columns, row_labels, values):
@@ -75,3 +86,102 @@ def test_read_text_round_trip_and_errors(tmp_path):
         read_text(tmp_path / "missing.txt")
     with pytest.raises(InputError, match="^cannot read "):
         read_text(tmp_path)  # a directory
+
+
+def reference_signature_csv(text):
+    """Cell-by-cell ``float`` reading of a signature CSV, the reference
+    for ``parse_signature_csv``: rows with no non-blank cell are skipped,
+    and every check runs in the parser's order."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    if len(rows) < 2:
+        raise InputError("signature CSV needs a header and at least one row")
+    header = rows[0][1]
+    if len(header) < 2:
+        raise InputError("signature CSV header needs vertex plus value columns")
+    first, values = {}, []
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise InputError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+        label = row[0].strip()
+        if "\n" in label or "\r" in label:
+            raise InputError(f"line {lineno}: label holds a line break")
+        if label in first:
+            raise InputError(
+                f"line {lineno}: duplicate label {label!r} (first on line {first[label]})"
+            )
+        first[label] = lineno
+        try:
+            cells = [float(c) for c in row[1:]]
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: non-numeric cell: {exc}") from exc
+        if not all(map(math.isfinite, cells)):
+            raise InputError(f"line {lineno}: non-finite cell")
+        values.append(cells)
+    return SignatureTable(tuple(first), np.array(values))
+
+
+def _read_outcome(parse, text):
+    """Labels, dtype, shape and value bytes of a read table, or its error text."""
+    try:
+        table = parse(text)
+    except InputError as exc:
+        return str(exc)
+    return table.labels, table.values.dtype, table.values.shape, table.values.tobytes()
+
+
+def assert_signature_reads_like_reference(text):
+    assert _read_outcome(parse_signature_csv, text) == _read_outcome(reference_signature_csv, text)
+
+
+_NUMBER = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_ODD_CELL = st.sampled_from([
+    "", " ", " 1 ", "\t2\n", "1_000", "+.5", "1e400", "-1e-400", "nan", "-NaN", "inf",
+    "-Infinity", "x", "0x10", "1,5", "\u0661\u0662", 'a"b', "True", "1+2j",
+])
+_ODD_LABEL = st.sampled_from(["a", " a ", "", "x\ny", "p\rq", "\r\n", "c,d", 'q"t', "é"])
+_BLANK_ROW = st.sampled_from(["", ",,", ",,,", " , ,\t", "   ", '""', '" ",'])
+
+
+@st.composite
+def _cell_text(draw, cell):
+    """``cell`` as CSV text: quoted when it must be, and at random."""
+    if draw(st.booleans()) or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def signature_csv_texts(draw):
+    """Signature CSV text: a header of 1 to 4 columns (now and then
+    missing or after blank rows), then rows of numbers mixed with
+    blank and all-blank rows.  Labels may repeat; about half the texts
+    also hold labels and cells that are quoted, hold line breaks or are
+    non-numeric, non-finite or blank, and a quarter hold ragged rows."""
+    width = draw(st.sampled_from([1, 2, 2, 3, 3, 3, 4, 4, 4]))
+    odd, ragged = draw(st.booleans()), draw(st.booleans())
+    label = st.integers(0, 30).map(str)
+    cell = _NUMBER
+    if odd:
+        label, cell = st.one_of(label, _ODD_LABEL), st.one_of(cell, cell, _ODD_CELL)
+    lines = draw(st.lists(_BLANK_ROW, max_size=2))
+    if draw(st.integers(0, 9)):
+        lines.append(",".join(["vertex", *(f"c{i}" for i in range(1, width))]))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK_ROW))
+            continue
+        size = max(width - 1 + (draw(st.sampled_from([-1, 0, 0, 0, 0, 0, 1])) if ragged else 0), 0)
+        cells = [draw(label), *(draw(cell) for _ in range(size))]
+        lines.append(",".join(draw(_cell_text(c)) for c in cells))
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(signature_csv_texts())
+def test_signature_reader_matches_per_cell_reference(text):
+    assert_signature_reads_like_reference(text)

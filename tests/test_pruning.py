@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 import digraphlets as dg
 from digraphlets.errors import InputError, UnprunableError
+from digraphlets.fileio import parse_signature_csv
 from digraphlets.pruning import parse_weighted_csv, skeleton_summary
 
 
@@ -260,27 +261,37 @@ def test_parse_weighted_csv_names_a_ragged_row(text, message):
         parse_weighted_csv(text)
 
 
-@pytest.mark.parametrize("cell", [
-    " 1 ", "1_000", "nan", "-inf", "1e400", "+.5", "\t2\n", "\u0661\u0662", "", "x",
-    "1,5", "0x10",
+_CELLS = [" 1 ", "1_000", "nan", "-inf", "1e400", "+.5", "\t2\n", "\u0661\u0662", "", "x", "1,5", "0x10"]
+# both CSV readers take the same cells; the weight reader's cases are named by the cell alone
+_READERS = {
+    "weight": (parse_weighted_csv, "non-numeric cell in weight matrix: ",
+               "weight matrix entries must be finite"),
+    "signature": (parse_signature_csv, "line 2: non-numeric cell: ", "line 2: non-finite cell"),
+}
+
+
+@pytest.mark.parametrize("cell, reader", [
+    *(pytest.param(cell, "weight", id=cell) for cell in _CELLS),
+    *(pytest.param(cell, "signature") for cell in _CELLS),
 ])
-def test_weight_cells_convert_like_float(cell):
-    # the matrix is converted in one call, which must accept, reject and
+def test_weight_cells_convert_like_float(cell, reader):
+    # each row is converted in one call, which must accept, reject and
     # word its error exactly as float() does cell by cell
+    parse, non_numeric, non_finite = _READERS[reader]
     out = io.StringIO()
     csv.writer(out).writerows([["", "a", "b"], ["a", "0", cell], ["b", "1", "0"]])
     try:
         value = float(cell)
     except ValueError as exc:
         with pytest.raises(InputError) as info:
-            parse_weighted_csv(out.getvalue())
-        assert str(info.value) == f"non-numeric cell in weight matrix: {exc}"
+            parse(out.getvalue())
+        assert str(info.value) == f"{non_numeric}{exc}"
         return
     if not math.isfinite(value):
-        with pytest.raises(InputError, match="^weight matrix entries must be finite$"):
-            parse_weighted_csv(out.getvalue())
+        with pytest.raises(InputError, match=f"^{non_finite}$"):
+            parse(out.getvalue())
     else:
-        assert parse_weighted_csv(out.getvalue()).values.tolist() == [[0.0, value], [1.0, 0.0]]
+        assert parse(out.getvalue()).values.tolist() == [[0.0, value], [1.0, 0.0]]
 
 
 def test_load_weighted_csv(tmp_path):
