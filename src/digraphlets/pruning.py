@@ -15,6 +15,13 @@ bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), and
 for (i) the best window of 99% of the vertices in the order in which
 Prim's maximum spanning tree joins them.  The same Prim pass over the
 pruned skeleton gives ``skeleton_summary``'s largest component.
+
+Working set: ``prune_weighted`` holds W, ``sym = max(|W|, |W|^T)``
+(built in TILE x TILE tiles, so the transpose is read in cache-sized
+blocks) and the temporaries of one block of TILE rows, in which it finds
+the degree bound, the threshold and the kept arcs: two n x n float64
+matrices (8 n^2 bytes each) plus O(TILE n).  The CSV reader's array
+becomes W itself, with no second copy.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnprunableError
-from .fileio import csv_rows, read_parsed
+from .fileio import csv_matrix, csv_rows, read_parsed
 from .graph import DirectedGraph, _check_labels
 
 CONNECTIVITY = 0.99  # least share of vertices in the largest weak component
 DEGREE_FACTOR = 2.0  # least total degree is DEGREE_FACTOR * ln(n)
+TILE = 128  # rows and columns per block: a 128 x 128 float64 tile is 128 KB
 
 
 @dataclass(eq=False)
@@ -53,11 +61,13 @@ def weighted_matrix(values, labels=None) -> WeightedMatrix:
     fail) and be finite; a nonzero diagonal is zeroed with a warning
     (self-coupling artifacts are common in estimated connectivity).
     Labels (default "0" .. "n-1") must pass the edge-list label rule.
+    A float64 array is wrapped as it is; the caller's array is never
+    written, so it is copied only when its diagonal must be zeroed.
     """
     try:  # a complex array would otherwise lose its imaginary part
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            values = np.array(values, dtype=np.float64)
+            values = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
         raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -70,6 +80,7 @@ def weighted_matrix(values, labels=None) -> WeightedMatrix:
     diag = np.diag(values)
     if (diag != 0).any():
         warnings.warn("zeroing nonzero diagonal of weight matrix", stacklevel=2)
+        values = values.copy()
         np.fill_diagonal(values, 0.0)
     return WeightedMatrix(labels, values)
 
@@ -82,17 +93,19 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def parse_weighted_csv(text: str) -> WeightedMatrix:
-    """Parse a CSV weight matrix with optional label row/column.
+def _is_header(row) -> bool:
+    """A non-numeric cell after the first marks a row as column labels
+    (the corner cell may be anything, including empty)."""
+    return any(not _is_number(c.strip()) and c.strip() != "" for c in row[1:])
 
-    The first row is taken as column labels when any of its cells is
-    non-numeric; likewise the first column for row labels.  Row labels
-    win when both are present.  A row with another cell count than the
-    first row below the header fails as ``row N``, N counting the
-    non-blank rows.  Each row's cells after the first are converted to
-    floats as the row is read, so only the first row and the first
-    column are kept as text.
-    """
+
+def _is_label(cell: str) -> bool:
+    return not _is_number(cell.strip())
+
+
+def _weight_rows(text: str):
+    """``csv_matrix``'s ``(head, column, values)`` from the per-row loop,
+    which words every error."""
     top, column, lengths, cells = None, [], [], []
     for _, row, values in csv_rows(text):
         top = top or row
@@ -101,9 +114,7 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
         cells.append(values)  # a ValueError is raised once every row's length is checked
     if top is None:
         raise InputError("weight matrix file is empty")
-    # A non-numeric cell after the first marks row 0 as column labels
-    # (the corner cell may be anything, including empty).
-    has_header = any(not _is_number(c.strip()) and c.strip() != "" for c in top[1:])
+    has_header = _is_header(top)
     if has_header:
         del column[0], lengths[0], cells[0]
     if not lengths:
@@ -114,15 +125,28 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     failure = next((c for c in cells if isinstance(c, ValueError)), None)
     if failure is not None:
         raise InputError(f"non-numeric cell in weight matrix: {failure}") from failure
-    values = np.array(cells)
-    has_row_labels = any(not _is_number(c.strip()) for c in column)
+    head, values = (top if has_header else None), np.array(cells)
+    if any(map(_is_label, column)):
+        return head, column, values
+    return head, None, np.hstack((np.array(column, dtype=np.float64)[:, None], values))
+
+
+def parse_weighted_csv(text: str) -> WeightedMatrix:
+    """Parse a CSV weight matrix with optional label row/column.
+
+    The first row is taken as column labels when any of its cells is
+    non-numeric; likewise the first column for row labels.  Row labels
+    win when both are present.  A row with another cell count than the
+    first row below the header fails as ``row N``, N counting the
+    non-blank rows.  The cells are read in one ``csv_matrix`` call;
+    a text it declines, and every error, goes through the per-row loop.
+    """
+    head, column, values = csv_matrix(text, _is_header, _is_label) or _weight_rows(text)
     labels = None
-    if has_row_labels:
+    if column is not None:
         labels = tuple(c.strip() for c in column)
-    else:
-        values = np.hstack((np.array(column, dtype=np.float64)[:, None], values))
-        if has_header:
-            labels = tuple(c.strip() for c in (top[1:] if len(top) == lengths[0] + 1 else top))
+    elif head is not None:
+        labels = tuple(c.strip() for c in (head[1:] if len(head) == values.shape[1] + 1 else head))
     return weighted_matrix(values, labels)
 
 
@@ -152,6 +176,27 @@ def _join_weights(sym: np.ndarray) -> np.ndarray:
     return joined
 
 
+def _symmetric_strength(values: np.ndarray) -> np.ndarray:
+    """``max(|W|, |W|^T)`` with a zero diagonal, built tile by tile so
+    that the transpose is read in cache-sized blocks."""
+    sym = np.abs(values)
+    np.fill_diagonal(sym, 0.0)
+    for i in range(0, len(sym), TILE):
+        for j in range(i, len(sym), TILE):
+            upper, lower = sym[i:i + TILE, j:j + TILE], sym[j:j + TILE, i:i + TILE]
+            np.maximum(upper, lower.T, out=upper)
+            lower[...] = upper.T
+    return sym
+
+
+def _strength_blocks(values: np.ndarray):
+    """``(i, |W[i:i + TILE]|)`` with the diagonal zeroed, row block by row block."""
+    for i in range(0, len(values), TILE):
+        block = np.abs(values[i:i + TILE])
+        np.fill_diagonal(block[:, i:], 0.0)
+        yield i, block
+
+
 def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     """Prune to the largest threshold keeping the matrix well connected.
 
@@ -163,22 +208,26 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     n = w.n
     if n < 3:
         raise InputError("pruning needs at least 3 vertices")
-    strength = np.abs(w.values)
-    np.fill_diagonal(strength, 0.0)
-    sym = np.maximum(strength, strength.T)
+    sym = _symmetric_strength(w.values)
     # degree: row i keeps k neighbours exactly while t < its k-th largest
     k = math.ceil(DEGREE_FACTOR * math.log(n))
-    t_deg = np.partition(sym, n - k, axis=1)[:, n - k].min()
+    t_deg = min(np.partition(sym[i:i + TILE], n - k, axis=1)[:, n - k].min()
+                for i in range(0, n, TILE))
     # connectivity: ceil(0.99 n) vertices share a component exactly
     # while that many - 1 join weights in a row are > t
     window = math.ceil(CONNECTIVITY * n) - 1
     t_conn = sliding_window_view(_join_weights(sym), window).min(axis=1).max()
+    del sym
     bound = min(t_deg, t_conn)
     if bound <= 0:
         raise UnprunableError("no threshold satisfies the connectivity and "
                               "degree criteria")
-    t = float(strength[strength < bound].max())  # never empty: the diagonal is 0
-    graph = DirectedGraph.from_arcs(np.argwhere(strength > t), n=n, labels=w.labels)
+    # the largest |w| below the bound; never empty, as the diagonal is 0
+    t = float(max(block.max(where=block < bound, initial=0.0)
+                  for _, block in _strength_blocks(w.values)))
+    arcs = np.concatenate([np.argwhere(block > t) + (i, 0)
+                           for i, block in _strength_blocks(w.values)])
+    graph = DirectedGraph.from_arcs(arcs, n=n, labels=w.labels)
     return graph, t
 
 

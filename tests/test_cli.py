@@ -313,6 +313,21 @@ def test_prune_names_the_file_in_parse_errors(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("prune", ",a,b,c\n{big},0,1,1\nb,1,0,1\nc,1,1,0\n"),
+    ("cluster", "vertex,a\n{big},1\nw,2\n"),
+])
+def test_an_oversized_field_exits_2_naming_the_file(command, text, tmp_path, capsys):
+    # a cell over csv's field size limit was a _csv.Error traceback
+    path = tmp_path / "big.csv"
+    path.write_text(text.format(big="r" * 200_000))
+    assert main([command, str(path), "--out", str(tmp_path / "x")]) == 2
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: field larger than field limit ({limit})\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_prune_rejects_bad_labels_before_pruning(tmp_path, monkeypatch, capsys):
     def never(*args):
         raise AssertionError("the threshold search ran")
@@ -413,6 +428,8 @@ def test_cluster_names_the_file_in_parse_errors(tmp_path, capsys):
     # all-blank rows are skipped like empty ones, and counted like them
     ("vertex,a,b\n0,1,2\n,,\n   \n1,x,3\n", "line 5: non-numeric cell: "),
     ("vertex,a,b\n0,1,2\n , ,\t\n0,3,4\n", "line 4: duplicate label '0' (first on line 2)"),
+    # a row whose only value is empty is not an empty line to skip
+    ("vertex,a\nx,1\ny,\n", "line 3: non-numeric cell: "),
 ])
 def test_signature_csv_errors_name_the_physical_line(tmp_path, capsys, text, message):
     with pytest.raises(dg.InputError, match=f"^{re.escape(message)}"):

@@ -157,21 +157,22 @@ def _cell_text(draw, cell):
 @st.composite
 def signature_csv_texts(draw):
     """Signature CSV text: a header of 1 to 4 columns (now and then
-    missing or after blank rows), then rows of numbers mixed with
-    blank and all-blank rows.  Labels may repeat; about half the texts
-    also hold labels and cells that are quoted, hold line breaks or are
-    non-numeric, non-finite or blank, and a quarter hold ragged rows."""
+    missing or after blank rows), then rows of numbers, in half the texts
+    mixed with blank and all-blank rows.  Labels may repeat; about half
+    the texts also hold labels and cells that are quoted, hold line
+    breaks or are non-numeric, non-finite or blank, and a quarter hold
+    ragged rows."""
     width = draw(st.sampled_from([1, 2, 2, 3, 3, 3, 4, 4, 4]))
-    odd, ragged = draw(st.booleans()), draw(st.booleans())
+    odd, ragged, blank = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     label = st.integers(0, 30).map(str)
     cell = _NUMBER
     if odd:
         label, cell = st.one_of(label, _ODD_LABEL), st.one_of(cell, cell, _ODD_CELL)
-    lines = draw(st.lists(_BLANK_ROW, max_size=2))
+    lines = draw(st.lists(_BLANK_ROW, max_size=2)) if blank else []
     if draw(st.integers(0, 9)):
         lines.append(",".join(["vertex", *(f"c{i}" for i in range(1, width))]))
     for _ in range(draw(st.integers(0, 8))):
-        if draw(st.integers(0, 4)) == 0:
+        if blank and draw(st.integers(0, 4)) == 0:
             lines.append(draw(_BLANK_ROW))
             continue
         size = max(width - 1 + (draw(st.sampled_from([-1, 0, 0, 0, 0, 0, 1])) if ragged else 0), 0)

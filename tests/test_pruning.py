@@ -1,14 +1,17 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from test_fileio import _BLANK_ROW, _NUMBER, _ODD_CELL, _ODD_LABEL, _cell_text
 
 import digraphlets as dg
+from digraphlets import pruning
 from digraphlets.errors import InputError, UnprunableError
 from digraphlets.fileio import parse_signature_csv
 from digraphlets.pruning import parse_weighted_csv, skeleton_summary
@@ -100,6 +103,26 @@ def weight_matrices(draw):
 @given(weight_matrices())
 def test_threshold_matches_dense_reference(w):
     assert_prunes_like_reference(w)
+
+
+def _pruned(w):
+    """Threshold and arcs of ``prune_weighted``, or the error it raises."""
+    try:
+        g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    except UnprunableError as exc:
+        return str(exc)
+    return t, g.keys.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(weight_matrices(), st.integers(1, 9))
+def test_any_tile_size_prunes_alike(w, tile):
+    # below 35 vertices one tile covers the matrix; smaller tiles, the last
+    # one ragged, must read the same blocks of W and of its transpose
+    want = _pruned(w)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pruning, "TILE", tile)
+        assert _pruned(w) == want
 
 
 def _largest_component(skel):
@@ -209,6 +232,47 @@ def test_validation_errors():
     assert (np.diag(w.values) == 0).all()
 
 
+def test_weighted_matrix_never_writes_the_callers_array():
+    theirs = np.arange(9.0).reshape(3, 3)
+    with pytest.warns(UserWarning, match="zeroing nonzero diagonal"):
+        w = dg.weighted_matrix(theirs)
+    assert theirs.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert w.values.tolist() == [[0, 1, 2], [3, 0, 5], [6, 7, 0]]
+    theirs[1, 1] = 0.0
+    theirs[2, 2] = 0.0
+    assert dg.weighted_matrix(theirs).values is theirs  # a zero diagonal: no copy
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,\n", "non-numeric cell in weight matrix: could not convert string to float: ''"),
+    ("a,0,1\nb,1,0\nc,\n", "row 3: expected 3 cells, got 2"),
+])
+def test_an_empty_value_cell_is_not_a_skipped_line(text, message):
+    # once its label is cut off, the row's text is empty, and np.loadtxt
+    # skips an empty line
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_weighted_csv(text)
+
+
+@pytest.mark.parametrize("text", [
+    ",a,b,c\na,0,1,2\nb,1,0,2\nc,2,1,0\n",  # labels on both sides
+    "a,b,c\n0,1,2\n1,0,2\n2,1,0\n",  # a header row only
+    "0,1,2\n1,0,2\n2,1,0\n",  # numbers only, first column included
+])
+def test_the_read_array_is_the_matrix(text, monkeypatch):
+    # the array np.loadtxt returns becomes WeightedMatrix.values as it is,
+    # with no second n x n copy on the way
+    loaded, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        loaded.append(loadtxt(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    w = parse_weighted_csv(text)
+    assert w.values is loaded[0] and w.values.tolist() == [[0, 1, 2], [1, 0, 2], [2, 1, 0]]
+
+
 def test_weighted_matrix_checks_labels():
     w = np.ones((3, 3)) - np.eye(3)
     assert dg.weighted_matrix(w).labels == ("0", "1", "2")
@@ -261,7 +325,9 @@ def test_parse_weighted_csv_names_a_ragged_row(text, message):
         parse_weighted_csv(text)
 
 
-_CELLS = [" 1 ", "1_000", "nan", "-inf", "1e400", "+.5", "\t2\n", "\u0661\u0662", "", "x", "1,5", "0x10"]
+# "1#2" reads as 1.0 where "#" starts a comment; "\x1c1" as 1.0 where U+001C is whitespace
+_CELLS = [" 1 ", "1_000", "nan", "-inf", "1e400", "+.5", "\t2\n", "\u0661\u0662", "", "x", "1,5", "0x10",
+          "1#2", "\x1c1"]
 # both CSV readers take the same cells; the weight reader's cases are named by the cell alone
 _READERS = {
     "weight": (parse_weighted_csv, "non-numeric cell in weight matrix: ",
@@ -278,20 +344,122 @@ def test_weight_cells_convert_like_float(cell, reader):
     # each row is converted in one call, which must accept, reject and
     # word its error exactly as float() does cell by cell
     parse, non_numeric, non_finite = _READERS[reader]
-    out = io.StringIO()
-    csv.writer(out).writerows([["", "a", "b"], ["a", "0", cell], ["b", "1", "0"]])
+    for ending in ("\n", "\r\n"):  # a carriage return always goes to the per-row loop
+        out = io.StringIO()
+        csv.writer(out, lineterminator=ending).writerows(
+            [["", "a", "b"], ["a", "0", cell], ["b", "1", "0"]])
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            with pytest.raises(InputError) as info:
+                parse(out.getvalue())
+            assert str(info.value) == f"{non_numeric}{exc}"
+            continue
+        if not math.isfinite(value):
+            with pytest.raises(InputError, match=f"^{non_finite}$"):
+                parse(out.getvalue())
+        else:
+            assert parse(out.getvalue()).values.tolist() == [[0.0, value], [1.0, 0.0]]
+
+
+def _is_number(cell):
     try:
-        value = float(cell)
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_weighted_csv(text):
+    """Cell-by-cell ``float`` reading of a weight matrix, the reference
+    for ``parse_weighted_csv``: rows with no non-blank cell are skipped,
+    and every check runs in the parser's order."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [r for r in reader if any(c.strip() for c in r)]
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise InputError("weight matrix file is empty")
+    top = rows[0]
+    has_header = any(not _is_number(c.strip()) and c.strip() != "" for c in top[1:])
+    if has_header:
+        rows = rows[1:]
+    if not rows:
+        raise InputError("weight matrix has a header but no rows")
+    for number, row in enumerate(rows, start=1 + has_header):
+        if len(row) != len(rows[0]):
+            raise InputError(f"row {number}: expected {len(rows[0])} cells, got {len(row)}")
+    try:
+        values = np.array([[float(c) for c in row[1:]] for row in rows])
     except ValueError as exc:
-        with pytest.raises(InputError) as info:
-            parse(out.getvalue())
-        assert str(info.value) == f"{non_numeric}{exc}"
-        return
-    if not math.isfinite(value):
-        with pytest.raises(InputError, match=f"^{non_finite}$"):
-            parse(out.getvalue())
-    else:
-        assert parse(out.getvalue()).values.tolist() == [[0.0, value], [1.0, 0.0]]
+        raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
+    column = [row[0] for row in rows]
+    if any(not _is_number(c.strip()) for c in column):
+        return dg.weighted_matrix(values, [c.strip() for c in column])
+    values = np.hstack((np.array([float(c) for c in column])[:, None], values))
+    labels = None
+    if has_header:
+        labels = [c.strip() for c in (top[1:] if len(top) == len(rows[0]) + 1 else top)]
+    return dg.weighted_matrix(values, labels)
+
+
+def _weight_outcome(parse, text):
+    """Labels, dtype, shape and value bytes of a read matrix, or its error
+    type and text, with the text of every warning on the way.  (A first
+    cell that ``str.strip()`` makes a number but ``float()`` rejects, such
+    as "\x1c1", escapes both readers as a ValueError.)"""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            w = parse(text)
+            got = w.labels, w.values.dtype, w.values.shape, w.values.tobytes()
+        except ValueError as exc:
+            got = type(exc).__name__, str(exc)
+    return got, [str(c.message) for c in caught]
+
+
+def assert_weights_read_like_reference(text):
+    assert _weight_outcome(parse_weighted_csv, text) == _weight_outcome(reference_weighted_csv, text)
+
+
+_WEIGHT_ODD_CELL = st.one_of(_ODD_CELL, st.sampled_from(["1#2", "\x1c1", "1\x1f", " -inf", "+NaN "]))
+
+
+@st.composite
+def weight_csv_texts(draw):
+    """Weight-matrix CSV text: n x n numbers (n 1..5), with or without a
+    header row (with or without its corner cell) and a label column, the
+    diagonal now and then nonzero, cells quoted at random.  Each of these
+    comes in about a third of the texts, independently: odd labels, odd
+    cells (non-numeric, non-finite, blank, padded, ``_`` or non-ASCII
+    digits), a row one cell short or long, blank and all-blank rows."""
+    n = draw(st.integers(1, 5))
+    names = [f"r{i}" for i in range(n)]
+    some = st.integers(0, 2).map(lambda k: k == 0)
+    if draw(some):
+        names = [draw(st.one_of(st.just(name), _ODD_LABEL)) for name in names]
+    cell = st.one_of(_NUMBER, _NUMBER, _WEIGHT_ODD_CELL) if draw(some) else _NUMBER
+    header, labelled = draw(st.sampled_from(["none", "corner", "bare"])), draw(st.booleans())
+    rows = [[*([""] if header == "corner" else []), *names]] if header != "none" else []
+    for i, name in enumerate(names):
+        row = [draw(cell) if j != i or draw(st.integers(0, 4)) == 0 else "0" for j in range(n)]
+        rows.append([name, *row] if labelled else row)
+    if draw(some):
+        row = draw(st.sampled_from(rows))
+        row.append(draw(cell)) if draw(st.booleans()) else row.pop()
+    lines = [",".join(draw(_cell_text(c)) for c in row) for row in rows]
+    if draw(some):
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK_ROW))
+    sep = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(weight_csv_texts())
+def test_weight_reader_matches_per_cell_reference(text):
+    assert_weights_read_like_reference(text)
 
 
 def test_load_weighted_csv(tmp_path):
