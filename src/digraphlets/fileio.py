@@ -128,10 +128,6 @@ class _Declined(Exception):
     """The text holds what only ``csv_rows`` reads exactly."""
 
 
-def _always(_):
-    return True
-
-
 def _lines(text: str):
     """The text's lines, without their ``\\n``, one at a time."""
     start = 0
@@ -154,9 +150,10 @@ def _cells(line: str) -> list[str]:
     return cells
 
 
-def csv_matrix(text: str, header=_always, labelled=_always):
-    """``(head, column, values)`` of a CSV text whose cells are read in one
-    ``np.loadtxt`` call, or None when only ``csv_rows`` reads it exactly.
+def csv_matrix(text: str, header, labelled):
+    """``(head, column, values)`` of a weight-matrix CSV text whose cells are
+    read in one ``np.loadtxt`` call, or None when only ``csv_rows`` reads it
+    exactly.
 
     The first row is ``head`` when ``header(cells)`` holds, else None and
     the row is data.  When ``labelled(cell)`` holds for the first cell of
@@ -213,16 +210,7 @@ def csv_matrix(text: str, header=_always, labelled=_always):
 
 def parse_signature_csv(text: str) -> SignatureTable:
     """Table of a header row and uniquely labelled rows of finite numbers; an
-    error names the physical line its row ends on, blank lines counted.
-    A text the bulk read takes and passes every check is read by it;
-    any other goes through ``csv_rows``, which words the first error."""
-    bulk = csv_matrix(text)
-    if bulk is not None:
-        header, column, values = bulk
-        labels = tuple(cell.strip() for cell in column)
-        if (len(header) == values.shape[1] + 1 and len(set(labels)) == len(labels)
-                and np.isfinite(values).all()):
-            return SignatureTable(labels, values)
+    error names the physical line its row ends on, blank lines counted."""
     rows = csv_rows(text)
     header = next(rows, (0, ()))[1]
     table = {}  # label: (line, values), in row order

@@ -128,7 +128,11 @@ def _weight_rows(text: str):
     head, values = (top if has_header else None), np.array(cells)
     if any(map(_is_label, column)):
         return head, column, values
-    return head, None, np.hstack((np.array(column, dtype=np.float64)[:, None], values))
+    try:  # a cell such as "\x1c1" is a number only once stripped
+        first = np.array(column, dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
+    return head, None, np.hstack((first[:, None], values))
 
 
 def parse_weighted_csv(text: str) -> WeightedMatrix:

@@ -313,6 +313,21 @@ def test_prune_names_the_file_in_parse_errors(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_prune_of_a_first_cell_numeric_only_once_stripped_exits_2(tmp_path):
+    # "\x1c1" passes the first column's number check once stripped, and float() rejects it
+    path = tmp_path / "w.csv"
+    path.write_text("0,1,1\n\x1c1,0,1\n1,1,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "digraphlets", "prune", str(path), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: non-numeric cell in weight matrix: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command, text", [
     ("prune", ",a,b,c\n{big},0,1,1\nb,1,0,1\nc,1,1,0\n"),
     ("cluster", "vertex,a\n{big},1\nw,2\n"),

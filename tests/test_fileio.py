@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digraphlets as dg
+from digraphlets import fileio
+from digraphlets.cli import main
 from digraphlets.errors import InputError
 from digraphlets.fileio import (
     SignatureTable,
     fmt_number,
     parse_signature_csv,
+    read_signature_csv,
     read_text,
     table_csv,
     table_json,
@@ -140,7 +144,7 @@ _NUMBER = st.one_of(
 )
 _ODD_CELL = st.sampled_from([
     "", " ", " 1 ", "\t2\n", "1_000", "+.5", "1e400", "-1e-400", "nan", "-NaN", "inf",
-    "-Infinity", "x", "0x10", "1,5", "\u0661\u0662", 'a"b', "True", "1+2j",
+    "-Infinity", "x", "0x10", "1,5", "\u0661\u0662", 'a"b', "True", "1+2j", "\x1c1", "2\x1f",
 ])
 _ODD_LABEL = st.sampled_from(["a", " a ", "", "x\ny", "p\rq", "\r\n", "c,d", 'q"t', "é"])
 _BLANK_ROW = st.sampled_from(["", ",,", ",,,", " , ,\t", "   ", '""', '" ",'])
@@ -186,3 +190,23 @@ def signature_csv_texts(draw):
 @given(signature_csv_texts())
 def test_signature_reader_matches_per_cell_reference(text):
     assert_signature_reads_like_reference(text)
+
+
+def test_signature_tables_are_read_row_by_row(tmp_path, monkeypatch):
+    # a census signature table goes through the per-row loop alone, and reads
+    # to the labels and values that a bulk parse of its cells gives
+    dg.save_edge_list(dg.random_digraph(450, 30 / 449, seed=5), tmp_path / "g.edgelist")
+    assert main(["census", str(tmp_path / "g.edgelist"), "--out", str(tmp_path)]) == 0
+    path = tmp_path / "signature.csv"
+    head = path.read_text().split("\n", 1)[0].split(",")
+    labels = np.loadtxt(path, dtype=str, delimiter=",", skiprows=1, usecols=0, ndmin=1)
+    values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, len(head)), ndmin=2)
+
+    def bulk(*args, **kwargs):
+        pytest.fail("a signature table reached the bulk read")
+
+    monkeypatch.setattr(fileio, "csv_matrix", bulk)
+    monkeypatch.setattr(np, "loadtxt", bulk)
+    table = read_signature_csv(path)
+    assert table.labels == tuple(labels) and len(labels) == 450
+    assert table.values.dtype == values.dtype and table.values.tobytes() == values.tobytes()

@@ -397,7 +397,11 @@ def reference_weighted_csv(text):
     column = [row[0] for row in rows]
     if any(not _is_number(c.strip()) for c in column):
         return dg.weighted_matrix(values, [c.strip() for c in column])
-    values = np.hstack((np.array([float(c) for c in column])[:, None], values))
+    try:
+        first = [float(c) for c in column]
+    except ValueError as exc:
+        raise InputError(f"non-numeric cell in weight matrix: {exc}") from exc
+    values = np.hstack((np.array(first)[:, None], values))
     labels = None
     if has_header:
         labels = [c.strip() for c in (top[1:] if len(top) == len(rows[0]) + 1 else top)]
@@ -406,9 +410,7 @@ def reference_weighted_csv(text):
 
 def _weight_outcome(parse, text):
     """Labels, dtype, shape and value bytes of a read matrix, or its error
-    type and text, with the text of every warning on the way.  (A first
-    cell that ``str.strip()`` makes a number but ``float()`` rejects, such
-    as "\x1c1", escapes both readers as a ValueError.)"""
+    type and text, with the text of every warning on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
