@@ -159,10 +159,6 @@ class Dendrogram:
     def n(self) -> int:
         return len(self.merges) + 1
 
-    @property
-    def heights(self) -> np.ndarray:
-        return self.merges[:, 2]
-
     def leaf_order(self) -> list[int]:
         """Leaves by depth-first left-first traversal from the root."""
         from scipy.cluster.hierarchy import leaves_list

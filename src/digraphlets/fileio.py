@@ -10,7 +10,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -117,95 +116,6 @@ def csv_rows(text: str):
                 yield reader.line_num, cells, values
     except csv.Error as exc:
         raise InputError(f"line {reader.line_num}: {exc}") from exc
-
-
-# a carriage return, which no text read by ``read_text`` holds, and U+001C..U+001F,
-# which np.loadtxt strips from around a number as whitespace and float() does not
-_NOT_BULK = "\r\x1c\x1d\x1e\x1f"
-
-
-class _Declined(Exception):
-    """The text holds what only ``csv_rows`` reads exactly."""
-
-
-def _lines(text: str):
-    """The text's lines, without their ``\\n``, one at a time."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start)
-        stop = len(text) if stop < 0 else stop
-        yield text[start:stop]
-        start = stop + 1
-
-
-def _cells(line: str) -> list[str]:
-    """One line's cells as ``csv`` reads them; a blank row, a quote still
-    open at the line's end or a field over the size limit declines."""
-    try:
-        cells = next(csv.reader([line + "\n"]))
-    except csv.Error as exc:
-        raise _Declined from exc
-    if any("\n" in cell for cell in cells) or not any(cell.strip() for cell in cells):
-        raise _Declined
-    return cells
-
-
-def csv_matrix(text: str, header, labelled):
-    """``(head, column, values)`` of a weight-matrix CSV text whose cells are
-    read in one ``np.loadtxt`` call, or None when only ``csv_rows`` reads it
-    exactly.
-
-    The first row is ``head`` when ``header(cells)`` holds, else None and
-    the row is data.  When ``labelled(cell)`` holds for the first cell of
-    the first data row, ``column`` holds every data row's first cell and
-    ``values`` the rest as float64; otherwise ``column`` is None and
-    ``values`` holds every cell.  Only the first row and the first column
-    are read as text.  Declined: a blank row, a row of another width than
-    the first data row, a quote open at a line's end, a field over
-    ``csv.field_size_limit()``, a carriage return, a cell np.loadtxt
-    rejects (every cell float() rejects, and ``_`` and non-ASCII digits,
-    which float() takes) and U+001C..U+001F, which only float() rejects.
-    """
-    if any(char in text for char in _NOT_BULK):
-        return None
-    lines, column, limit = _lines(text), [], csv.field_size_limit()
-    try:
-        line = next(lines)
-        head = _cells(line)
-        if header(head):
-            line = next(lines)
-            first = _cells(line)
-        else:
-            first, head = head, None
-    except (StopIteration, _Declined):
-        return None
-    if len(first) < 2:
-        return None
-    skip = labelled(first[0])
-
-    def cells_read(line):
-        """The cells of a data line that np.loadtxt reads, with no quote
-        (numpy reads none): those after the label, or all.  numpy checks
-        that every row is as wide as the first."""
-        if '"' in line or len(line) > limit:
-            cells = _cells(line)
-            if any("," in cell for cell in cells[skip:]):
-                raise _Declined
-            label, read = cells[0], ",".join(cells[skip:])
-        else:
-            cut = line.index(",")  # a line with no comma raises ValueError
-            label, read = line[:cut], line[cut + 1:] if skip else line
-        if not read:  # np.loadtxt would skip an empty line
-            raise _Declined
-        column.append(label)
-        return read
-
-    try:
-        values = np.loadtxt(map(cells_read, chain([line], lines)), dtype=np.float64,
-                            delimiter=",", comments=None, ndmin=2)
-    except (ValueError, _Declined):
-        return None
-    return head, (column if skip else None), values
 
 
 def parse_signature_csv(text: str) -> SignatureTable:

@@ -26,7 +26,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .fileio import read_parsed, write_text
 from .taxonomy import EDGE_KINDS, MIRROR
 
@@ -189,23 +189,6 @@ class DirectedGraph:
         vertex, kind, neighbor = self.half_edges()
         out = kind != EDGE_KINDS.index("-")  # the arc vertex->neighbor exists
         return np.divmod(np.sort(vertex[out] * self.n + neighbor[out]), self.n)
-
-    # -- consistency --------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the stored pairs, raising InvariantError on failure."""
-        keys, codes, n = self.keys, self.codes, self.n
-        if len(keys) != len(codes):
-            raise InvariantError("keys and codes differ in length")
-        if (np.diff(keys) <= 0).any():
-            raise InvariantError("pair keys not strictly ascending")
-        if ((keys < 0) | (keys >= n * n)).any():
-            raise InvariantError("vertex index out of range")
-        lo, hi = np.divmod(keys, n)
-        if (lo >= hi).any():
-            raise InvariantError("pair key with lo >= hi")
-        if ((codes < 0) | (codes > 2)).any():
-            raise InvariantError("relation code outside 0..2")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):

@@ -26,15 +26,17 @@ becomes W itself, with no second copy.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnprunableError
-from .fileio import csv_matrix, csv_rows, read_parsed
+from .fileio import csv_rows, read_parsed
 from .graph import DirectedGraph, _check_labels
 
 CONNECTIVITY = 0.99  # least share of vertices in the largest weak component
@@ -103,9 +105,43 @@ def _is_label(cell: str) -> bool:
     return not _is_number(cell.strip())
 
 
+# a carriage return, which no text read by ``fileio.read_text`` holds, and U+001C..U+001F,
+# which np.loadtxt strips from around a number as whitespace and float() does not
+_NOT_BULK = "\r\x1c\x1d\x1e\x1f"
+
+
+class _Declined(Exception):
+    """The text holds what only ``_weight_rows`` reads exactly."""
+
+
+def _lines(text: str):
+    """The text's lines, without their ``\\n``, one at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        stop = len(text) if stop < 0 else stop
+        yield text[start:stop]
+        start = stop + 1
+
+
+def _cells(line: str) -> list[str]:
+    """One line's cells as ``csv`` reads them; a blank row, a quote still
+    open at the line's end or a field over the size limit declines."""
+    try:
+        cells = next(csv.reader([line + "\n"]))
+    except csv.Error as exc:
+        raise _Declined from exc
+    if any("\n" in cell for cell in cells) or not any(cell.strip() for cell in cells):
+        raise _Declined
+    return cells
+
+
 def _weight_rows(text: str):
-    """``csv_matrix``'s ``(head, column, values)`` from the per-row loop,
-    which words every error."""
+    """``(head, column, values)`` of a weight-matrix CSV text from the
+    per-row loop, which words every error: ``head`` is the first row's
+    cells if ``_is_header`` holds for them, else None; ``column`` is every
+    data row's first cell if any ``_is_label`` and ``values`` the rest as
+    float64, else ``column`` is None and ``values`` holds every cell."""
     top, column, lengths, cells = None, [], [], []
     for _, row, values in csv_rows(text):
         top = top or row
@@ -135,6 +171,61 @@ def _weight_rows(text: str):
     return head, None, np.hstack((first[:, None], values))
 
 
+def _bulk_rows(text: str):
+    """``_weight_rows``'s ``(head, column, values)`` with the cells read in
+    one ``np.loadtxt`` call, or None when only ``_weight_rows`` reads the
+    text exactly.
+
+    Only the first row and the first column are read as text, and the
+    first data row's first cell alone decides whether ``column`` is read.
+    Declined: a blank row, a row of another width than the first data
+    row, a quote open at a line's end, a field over
+    ``csv.field_size_limit()``, a carriage return, a cell np.loadtxt
+    rejects (every cell float() rejects, and ``_`` and non-ASCII digits,
+    which float() takes) and U+001C..U+001F, which only float() rejects.
+    """
+    if any(char in text for char in _NOT_BULK):
+        return None
+    lines, column, limit = _lines(text), [], csv.field_size_limit()
+    try:
+        line = next(lines)
+        head = _cells(line)
+        if _is_header(head):
+            line = next(lines)
+            first = _cells(line)
+        else:
+            first, head = head, None
+    except (StopIteration, _Declined):
+        return None
+    if len(first) < 2:
+        return None
+    skip = _is_label(first[0])
+
+    def cells_read(line):
+        """The cells of a data line that np.loadtxt reads, with no quote
+        (numpy reads none): those after the label, or all.  numpy checks
+        that every row is as wide as the first."""
+        if '"' in line or len(line) > limit:
+            cells = _cells(line)
+            if any("," in cell for cell in cells[skip:]):
+                raise _Declined
+            label, read = cells[0], ",".join(cells[skip:])
+        else:
+            cut = line.index(",")  # a line with no comma raises ValueError
+            label, read = line[:cut], line[cut + 1:] if skip else line
+        if not read:  # np.loadtxt would skip an empty line
+            raise _Declined
+        column.append(label)
+        return read
+
+    try:
+        values = np.loadtxt(map(cells_read, chain([line], lines)), dtype=np.float64,
+                            delimiter=",", comments=None, ndmin=2)
+    except (ValueError, _Declined):
+        return None
+    return head, (column if skip else None), values
+
+
 def parse_weighted_csv(text: str) -> WeightedMatrix:
     """Parse a CSV weight matrix with optional label row/column.
 
@@ -142,10 +233,10 @@ def parse_weighted_csv(text: str) -> WeightedMatrix:
     non-numeric; likewise the first column for row labels.  Row labels
     win when both are present.  A row with another cell count than the
     first row below the header fails as ``row N``, N counting the
-    non-blank rows.  The cells are read in one ``csv_matrix`` call;
+    non-blank rows.  The cells are read in one ``_bulk_rows`` call;
     a text it declines, and every error, goes through the per-row loop.
     """
-    head, column, values = csv_matrix(text, _is_header, _is_label) or _weight_rows(text)
+    head, column, values = _bulk_rows(text) or _weight_rows(text)
     labels = None
     if column is not None:
         labels = tuple(c.strip() for c in column)
@@ -193,14 +284,6 @@ def _symmetric_strength(values: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _strength_blocks(values: np.ndarray):
-    """``(i, |W[i:i + TILE]|)`` with the diagonal zeroed, row block by row block."""
-    for i in range(0, len(values), TILE):
-        block = np.abs(values[i:i + TILE])
-        np.fill_diagonal(block[:, i:], 0.0)
-        yield i, block
-
-
 def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     """Prune to the largest threshold keeping the matrix well connected.
 
@@ -226,13 +309,15 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     if bound <= 0:
         raise UnprunableError("no threshold satisfies the connectivity and "
                               "degree criteria")
-    # the largest |w| below the bound; never empty, as the diagonal is 0
-    t = float(max(block.max(where=block < bound, initial=0.0)
-                  for _, block in _strength_blocks(w.values)))
-    arcs = np.concatenate([np.argwhere(block > t) + (i, 0)
-                           for i, block in _strength_blocks(w.values)])
-    graph = DirectedGraph.from_arcs(arcs, n=n, labels=w.labels)
-    return graph, t
+    # |w| > t just where |w| >= bound: the bound is a value of |W|, so no |w| lies in (t, bound)
+    t, arcs = 0.0, []
+    for i in range(0, n, TILE):
+        block = np.abs(w.values[i:i + TILE])
+        np.fill_diagonal(block[:, i:], 0.0)
+        t = max(t, block.max(where=block < bound, initial=0.0))
+        arcs.append(np.argwhere(block >= bound) + (i, 0))
+    graph = DirectedGraph.from_arcs(np.concatenate(arcs), n=n, labels=w.labels)
+    return graph, float(t)
 
 
 def skeleton_summary(graph: DirectedGraph) -> dict:

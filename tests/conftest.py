@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import digraphlets as dg
+from digraphlets.errors import InvariantError
 
 
 @pytest.fixture
@@ -35,6 +36,22 @@ def digraphs(draw, min_n=1, max_n=10):
     pairs = np.array([p for p, _ in kept], dtype=np.int64).reshape(-1, 2)
     codes = np.array([c for _, c in kept], dtype=np.int64)
     return graph_of_pairs(n, pairs, codes)
+
+
+def validate_graph(g) -> None:
+    """Check a graph's stored pairs, raising InvariantError on failure."""
+    keys, codes, n = g.keys, g.codes, g.n
+    if len(keys) != len(codes):
+        raise InvariantError("keys and codes differ in length")
+    if (np.diff(keys) <= 0).any():
+        raise InvariantError("pair keys not strictly ascending")
+    if ((keys < 0) | (keys >= n * n)).any():
+        raise InvariantError("vertex index out of range")
+    lo, hi = np.divmod(keys, n)
+    if (lo >= hi).any():
+        raise InvariantError("pair key with lo >= hi")
+    if ((codes < 0) | (codes > 2)).any():
+        raise InvariantError("relation code outside 0..2")
 
 
 def graph_of_pairs(n, pairs, codes, labels=None) -> dg.DirectedGraph:

@@ -203,7 +203,7 @@ def test_criterion_08_ward_clustering():
         mapping.setdefault(a, b)
         exact = exact and mapping[a] == b
     exact = exact and len(mapping) == 3
-    monotone = bool(np.all(np.diff(tree.heights) >= -1e-9))
+    monotone = bool(np.all(np.diff(tree.merges[:, 2]) >= -1e-9))
     ok = exact and monotone
     _report(8, "planted 3-cluster recovery; heights non-decreasing", ok,
             f"exact={exact} monotone={monotone}")

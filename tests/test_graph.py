@@ -11,7 +11,7 @@ from digraphlets import graph as graph_module
 from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
 
-from conftest import dense_relations, digraphs, graph_of_pairs, kind_arcs
+from conftest import dense_relations, digraphs, graph_of_pairs, kind_arcs, validate_graph
 
 _VERTEX_PREFIX = "# vertex:"
 
@@ -189,7 +189,7 @@ def test_round_trip_property(g):
 @settings(deadline=None, max_examples=60)
 @given(digraphs(max_n=9))
 def test_structural_invariants(g):
-    g.validate()
+    validate_graph(g)
     # the three relations partition each vertex's neighbors
     vertex, _, neighbor = g.half_edges()
     seen = list(zip(vertex.tolist(), neighbor.tolist()))
@@ -221,7 +221,7 @@ def test_validate_rejects_broken_graphs():
 
     def check(keys, codes, message):
         with pytest.raises(InvariantError, match=message):
-            graph(keys, codes).validate()
+            validate_graph(graph(keys, codes))
 
     check([1, 2], [0], "differ in length")
     check([2, 1], [0, 0], "not strictly ascending")
@@ -233,7 +233,7 @@ def test_validate_rejects_broken_graphs():
     check([1, 2], [0, 3], "outside 0..2")
     check([1], [-1], "outside 0..2")
     valid = graph([1, 2, 5], [0, 2, 1])
-    valid.validate()
+    validate_graph(valid)
     arcs = [(0, 1), (0, 2), (2, 0), (2, 1)]
     assert valid == dg.DirectedGraph.from_arcs(arcs, labels=("a", "b", "c"))
 
@@ -428,7 +428,7 @@ def assert_builds_like_reference(arcs, n):
     reciprocal relations of the arc list's 0/1 matrix."""
     arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
     built = dg.DirectedGraph.from_arcs(arcs, n=n)
-    built.validate()
+    validate_graph(built)
     arc_set = set(map(tuple, arcs.tolist()))
     want = {
         (min(s, d), max(s, d), 2 if (d, s) in arc_set else int(s > d)) for s, d in arc_set
@@ -477,7 +477,7 @@ def test_from_arcs_empty_list():
         assert g == graph_of_pairs(3, [], [])
         assert g == dg.random_digraph(3, 0.0, seed=0)
         assert g.num_connected_pairs == 0
-        g.validate()
+        validate_graph(g)
 
 
 @settings(deadline=None, max_examples=100)
@@ -501,7 +501,7 @@ def test_generators_build_what_from_arcs_builds(g, shape, seed, p, recip):
     g = graph_of_pairs(g.n, pairs, codes, labels=labels)
     drawn = dg.random_digraph(g.n, p, seed, recip)
     for made in (dg.randomize_directions(g, seed), drawn):
-        made.validate()
+        validate_graph(made)
         rebuilt = dg.DirectedGraph.from_arcs(
             np.column_stack(made.arcs()), n=made.n, labels=made.labels
         )

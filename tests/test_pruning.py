@@ -51,12 +51,18 @@ def _reference_threshold(w):
 
 
 def assert_prunes_like_reference(w):
+    """The reference threshold, and the arcs ``|w_ij| > t`` off the diagonal."""
     want = _reference_threshold(w)
     if want is None:
         with pytest.raises(UnprunableError):
             dg.prune_weighted(dg.weighted_matrix(w))
-    else:
-        assert dg.prune_weighted(dg.weighted_matrix(w))[1] == want
+        return
+    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    assert t == want
+    kept = np.abs(w) > want
+    np.fill_diagonal(kept, False)
+    src, dst = g.arcs()
+    assert np.array_equal(src, np.nonzero(kept)[0]) and np.array_equal(dst, np.nonzero(kept)[1])
 
 
 def test_threshold_is_maximal():
