@@ -2,6 +2,12 @@
 
 All numeric text output is rendered at 9 significant digits so that
 fixed inputs give byte-identical files across platforms and runs.
+
+Text output (CSV tables here, edge lists in ``graph``) goes through one
+gather kernel, ``_joined``: a table is formatted once per distinct cell
+and then copied out as bytes, token by token, with no Python loop over
+cells or arcs.  The tokens are gathered in blocks of ``_BLOCK`` so that
+the byte-index arrays stay a few MB whatever the size of the text.
 """
 
 from __future__ import annotations
@@ -9,21 +15,30 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InputError, naming
 
 
+def _texts(numbers, head="") -> list[str]:
+    """The canonical text of each number in a 1-D array, after ``head``:
+    integer and boolean arrays as plain integers, any other at 9
+    significant digits with ``-0`` as ``0``."""
+    if numbers.dtype.kind in "biu":
+        form = "%d\n"
+    else:
+        form, numbers = "%.9g\n", numbers.astype(float) + 0.0  # -0.0 + 0.0 is 0.0
+    # one formatting call for every number, rather than one call each
+    return ((head + form) * len(numbers) % tuple(numbers.tolist())).split("\n")[:-1]
+
+
 def fmt_number(x) -> str:
     """Canonical text for a number: ints plain, floats at 9 sig digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0"
-    return f"{x:.9g}"
+    return _texts(np.array([x]))[0]
 
 
 def round9(x) -> float:
@@ -60,25 +75,71 @@ def write_json(path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _table_rows(values):
-    """Rows of a table as Python numbers, and the text of one cell, as
-    ``fmt_number`` gives them: integer and boolean tables as plain
-    integers, anything else at 9 significant digits with ``-0`` as ``0``."""
+_BLOCK = 1 << 16  # tokens per gather: its index arrays stay O(block), not O(text)
+
+
+def _joined(words, tokens) -> str:
+    """``"".join(words[t] for t in tokens)``, as one byte gather: the words
+    are concatenated and encoded once, and each block of ``_BLOCK`` tokens
+    copies its words' bytes into the output in one ``np.take``."""
+    text = "".join(words)
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    if len(data) != len(text):  # not all ASCII: a word's size is its bytes, not characters
+        words = [w.encode(errors="surrogatepass") for w in words]
+    size = np.fromiter(map(len, words), np.int64, len(words))
+    start = np.cumsum(size) - size
+    out = np.empty(np.bincount(tokens, minlength=len(words)) @ size, np.uint8)
+    at = 0
+    for first in range(0, len(tokens), _BLOCK):
+        t = tokens[first : first + _BLOCK]
+        s = size[t]
+        end = np.cumsum(s)
+        # byte j of the block is byte j - (end[k] - s[k]) of token k's word
+        index = np.repeat(start[t] - end + s, s)
+        index += np.arange(end[-1])
+        # every index is in range; mode "raise" would copy through a buffer
+        np.take(data, index, out=out[at : at + end[-1]], mode="clip")
+        at += end[-1]
+    return str(out, "utf-8", "surrogatepass")
+
+
+def _distinct_cells(columns, row_labels, values):
+    """The distinct cells of a table, and the (rows, columns) index of each
+    cell among them."""
     values = np.asarray(values)
-    if values.dtype.kind in "biu":
-        return values.astype(np.int64).tolist(), str
-    values = values.astype(float)
-    return np.where(values == 0.0, 0.0, values).tolist(), "{:.9g}".format
+    if values.shape != (len(row_labels), len(columns)):
+        raise ValueError(
+            f"values of shape {values.shape} do not fit {len(row_labels)} row labels "
+            f"by {len(columns)} columns"
+        )
+    unique, inverse = np.unique(values.ravel(), return_inverse=True)
+    return unique, inverse.reshape(values.shape)
+
+
+# csv quotes a field holding one of these characters, or an empty one
+_QUOTED = re.compile(r'[",\r\n]')
 
 
 def table_csv(corner: str, columns, row_labels, values) -> str:
-    """One header row then one row per label, all cells canonical text."""
-    rows, cell = _table_rows(values)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([corner, *columns])
-    writer.writerows([label, *map(cell, row)] for label, row in zip(row_labels, rows))
-    return out.getvalue()
+    """One header row then one row per label, all cells canonical text.
+
+    The rows are gathered from two kinds of word: ``\n`` and a label, and
+    ``,`` and a distinct cell, formatted in one call.  csv writes the
+    header, and each label it would quote just as it would in the row."""
+    unique, inverse = _distinct_cells(columns, row_labels, values)
+    n, k = inverse.shape
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns the text
+    labels = [
+        "\n" + label if label and not _QUOTED.search(label)
+        else "\n" + row([label, ""])[:-2] if k
+        else "\n" + row([label])[:-1]
+        for label in row_labels
+    ]
+    tokens = np.empty((n, k + 1), np.int32)
+    tokens[:, 0] = np.arange(n) + len(unique)
+    tokens[:, 1:] = inverse
+    text = _joined(_texts(unique, ",") + labels, tokens.ravel())
+    return f"{row([corner, *columns])[:-1]}{text}\n"
 
 
 def write_table_csv(path, corner, columns, row_labels, values) -> None:
@@ -87,10 +148,11 @@ def write_table_csv(path, corner, columns, row_labels, values) -> None:
 
 def table_json(columns, row_labels, values):
     """The cells of ``table_csv`` as JSON numbers: integers stay integers."""
-    rows, cell = _table_rows(values)
-    if cell is not str:  # a float as its 9-digit text reads back
-        rows = [[float(cell(v)) for v in row] for row in rows]
-    return {"columns": list(columns), "index": list(row_labels), "values": rows}
+    unique, inverse = _distinct_cells(columns, row_labels, values)
+    number = int if unique.dtype.kind in "biu" else float
+    cells = np.array(list(map(number, _texts(unique))), dtype=object)
+    return {"columns": list(columns), "index": list(row_labels),
+            "values": cells[inverse].tolist()}
 
 
 @dataclass(eq=False)

@@ -27,7 +27,7 @@ from itertools import count
 import numpy as np
 
 from .errors import InputError
-from .fileio import read_parsed, write_text
+from .fileio import _joined, read_parsed, write_text
 from .taxonomy import EDGE_KINDS, MIRROR
 
 _VERTEX_PREFIX = "# vertex:"
@@ -205,13 +205,11 @@ class DirectedGraph:
     def to_edge_list_text(self) -> str:
         """Declarations in index order, then one ``src dst`` line per
         arc in ascending (src, dst) order."""
-        head = "".join(map(f"{_VERTEX_PREFIX} {{}}\n".format, self.labels))
-        labels = np.array(self.labels, dtype=object)
-        src, dst = self.arcs()
-        cells = np.empty(2 * len(src), dtype=object)
-        cells[0::2] = (labels + " ")[src]
-        cells[1::2] = (labels + "\n")[dst]
-        return head + "".join(cells.tolist())
+        head = "".join([f"{_VERTEX_PREFIX} {label}\n" for label in self.labels])
+        words = [label + " " for label in self.labels] + [label + "\n" for label in self.labels]
+        tokens = np.stack(self.arcs(), axis=1)  # raveled: src, dst, src, dst, ...
+        tokens[:, 1] += self.n
+        return head + _joined(words, tokens.ravel())
 
 
 def parse_edge_list(text: str) -> DirectedGraph:

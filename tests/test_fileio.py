@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import digraphlets as dg
+from digraphlets import fileio
 from digraphlets.cli import main
 from digraphlets.errors import InputError
 from digraphlets.fileio import (
@@ -23,15 +25,84 @@ from digraphlets.fileio import (
 )
 
 
+def reference_cell(kind):
+    """The text of one cell of a table of dtype kind ``kind``: integer and
+    boolean cells as ``str(int(v))``, any other as ``"{:.9g}"`` of
+    ``float(v)``, with ``-0`` as ``0``."""
+    if kind in "biu":
+        return lambda v: str(int(v))
+    return lambda v: "{:.9g}".format(float(v) or 0.0)  # -0.0 is falsy
+
+
 def reference_table_csv(corner, columns, row_labels, values):
-    """Cell-by-cell ``fmt_number`` rendering, the reference for the
-    row-wise ``table_csv``."""
+    """Cell-by-cell ``csv.writer`` rendering, the reference for the gathered
+    ``table_csv``."""
+    values = np.asarray(values)
+    cell = reference_cell(values.dtype.kind)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([corner, *columns])
-    for label, row in zip(row_labels, np.asarray(values)):
-        writer.writerow([label, *(fmt_number(v) for v in row)])
+    for label, row in zip(row_labels, values, strict=True):
+        writer.writerow([label, *map(cell, row)])
     return out.getvalue()
+
+
+def assert_table_writes_like_reference(case):
+    corner, columns, labels, values = case
+    got = table_csv(corner, columns, labels, values)
+    assert got == reference_table_csv(corner, columns, labels, values)
+    cells = values.ravel()[:3]  # the scalar formatter follows the same rule
+    assert list(map(fmt_number, cells)) == list(map(reference_cell(values.dtype.kind), cells))
+
+
+_LABEL = st.one_of(
+    st.text(st.sampled_from(['"', ",", "\n", "\r", "é", "°", "東", "a", " "]), max_size=3),
+    st.text(max_size=3),
+)
+_INT64 = st.one_of(
+    st.sampled_from([-(2**63 - 1), 2**63 - 1, -(2**63), -1, 0]), st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@st.composite
+def tables(draw):
+    """(corner, columns, row labels, values) of a table of 0 to 5 rows and
+    0 to 4 columns: int64 (its extremes included), uint8, uint64, bool, or
+    float64 or float32 with NaN, infinities, -0.0 and subnormals.  Labels may
+    be empty, repeat, or hold quotes, commas, line breaks or non-ASCII text."""
+    dtype = draw(st.sampled_from([np.int64, np.uint8, np.uint64, np.bool_, np.float64, np.float32]))
+    shape = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    elements = _INT64 if dtype is np.int64 else None
+    values = draw(arrays(dtype, shape, elements=elements))
+    labels = draw(st.lists(_LABEL, min_size=shape[0], max_size=shape[0]))
+    columns = draw(st.lists(_LABEL, min_size=shape[1], max_size=shape[1]))
+    return draw(_LABEL), columns, labels, values
+
+
+@settings(deadline=None, max_examples=200)
+@given(tables())
+def test_table_csv_matches_cell_by_cell_reference_on_any_table(case):
+    assert_table_writes_like_reference(case)
+
+
+def test_table_csv_crosses_gather_blocks():
+    # more tokens (1 per cell, 1 per row) than one gather block holds
+    rng = np.random.default_rng(6)
+    labels = [f"v{i}°" if i % 7 else f'"{i}"' for i in range(1400)]
+    columns = [f"c{j}" for j in range(50)]
+    assert 1400 * (50 + 1) > fileio._BLOCK
+    for values in (rng.integers(-(10**6), 10**6, (1400, 50)), rng.standard_normal((1400, 50))):
+        assert_table_writes_like_reference(("vertex", columns, labels, values))
+
+
+@pytest.mark.parametrize("labels, columns", [(["x"], ["a", "b"]), (["x", "y"], ["a"])],
+                         ids=["rows", "columns"])
+def test_table_writers_reject_values_of_another_shape(labels, columns):
+    values = [[1, 2], [3, 4]]
+    for write in (lambda: table_csv("v", columns, labels, values),
+                  lambda: table_json(columns, labels, values)):
+        with pytest.raises(ValueError, match=r"^values of shape \(2, 2\) do not fit"):
+            write()
 
 
 def _tables():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digraphlets as dg
+from digraphlets import fileio
 from digraphlets import graph as graph_module
 from digraphlets.errors import InputError, InvariantError
 from digraphlets.graph import _BLOCK_LINES
@@ -669,15 +670,25 @@ def test_state_carries_across_blocks():
 @settings(deadline=None, max_examples=60)
 @given(digraphs(max_n=9), st.randoms(use_true_random=False))
 def test_writer_and_sorts_match_references(g, rnd):
-    labels = [f"v{i}" for i in range(g.n)]
+    labels = [f"{rnd.choice(['v', 'é', '°', '東'])}{i}" for i in range(g.n)]
     rnd.shuffle(labels)
     g = graph_of_pairs(g.n, *g.connected_pairs(), labels=labels)
-    assert g.to_edge_list_text() == reference_text(g)
+    text = g.to_edge_list_text()
+    assert text == reference_text(g) and dg.parse_edge_list(text) == g
     src, dst = g.arcs()
     order = np.lexsort((dst, src))
     assert np.array_equal(src, src[order]) and np.array_equal(dst, dst[order])
     pairs, _ = g.connected_pairs()
     assert np.array_equal(pairs, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+
+
+def test_writer_crosses_gather_blocks_and_writes_arcless_graphs():
+    big = dg.random_digraph(400, 0.5, seed=3)
+    assert 2 * len(big.arcs()[0]) > fileio._BLOCK  # two tokens an arc
+    for g in (big, dg.DirectedGraph.from_arcs(np.empty((0, 2), np.int64), n=3)):
+        g = graph_of_pairs(g.n, *g.connected_pairs(), labels=[f"東{i}°" for i in range(g.n)])
+        text = g.to_edge_list_text()
+        assert text == reference_text(g) and dg.parse_edge_list(text) == g
 
 
 def test_regular_texts_are_read_in_bulk(monkeypatch):
