@@ -42,7 +42,7 @@ def main() -> None:
     target = uniform_profile()
     running = np.zeros(16)
     print(f"skeleton: n={skeleton.n}, connected pairs="
-          f"{skeleton.num_connected_pairs}")
+          f"{len(skeleton.keys)}")
     print(f"{'seeds':>5}  {'Linf deviation':>14}")
     for k in range(args.seeds):
         g = randomize_directions(skeleton, seed=k)

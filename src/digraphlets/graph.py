@@ -40,6 +40,8 @@ _BYTE_KIND = bytes(sum(k * (c in s) for k, s in enumerate(_KINDS, 1)) for c in r
 _WIDE = re.compile("[\v\f\x1c-\x1e\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 # a pair's code, the kind of hi seen from lo -> the kind of lo seen from hi
 _MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
+_DIGITS = 18  # the longest canonical decimal label; 10**18 - 1 fits int64
+_POWERS = 10 ** np.arange(_DIGITS, dtype=np.int64)
 
 
 def _whole_numbers(values, message: str) -> np.ndarray:
@@ -161,10 +163,6 @@ class DirectedGraph:
     def num_recip_pairs(self) -> int:
         return int(np.count_nonzero(self.codes == 2))
 
-    @property
-    def num_connected_pairs(self) -> int:
-        return len(self.keys)
-
     # perfbench/child.py reads the lengths of these two in traced runs;
     # they go when ROADMAP item 1 step 2 moves the bench onto the
     # package's records.
@@ -232,7 +230,10 @@ def parse_edge_list(text: str) -> DirectedGraph:
     in each, two tokens on each arc line with at most one comma between
     them, and with declarations only declared tokens.  Saved edge lists
     are regular.  Any other text is read again, one line at a time, up to
-    its first faulty line.
+    its first faulty line.  A regular text whose labels are all canonical
+    decimal (ASCII digits, no sign, no leading zero but in ``0``, at most
+    18 digits) maps them to indices by value, not through a dict of label
+    strings; the result is the same.
     """
     names, ends = _read_blocks(text) or _read_lines(text.splitlines())
     src, dst = ends[0::2], ends[1::2]
@@ -251,9 +252,14 @@ def parse_edge_list(text: str) -> DirectedGraph:
     return DirectedGraph(n, _check_labels(names, n), keys, codes)
 
 
-def _read_blocks(text: str):
+def _read_blocks(text: str, decimal: bool = True):
     """Labels and arc ends (src, dst, src, dst, ...) of a regular text, read
-    as bytes in blocks of ``_BLOCK_LINES`` lines; False for any other text."""
+    as bytes in blocks of ``_BLOCK_LINES`` lines; False for any other text.
+
+    With ``decimal``, a text whose tokens are all canonical decimal
+    (``_decimal_values``) maps them to indices by value; any other text
+    maps them through a dict of its labels, from the first block on.
+    """
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return False  # a lone '\r' breaks a line
     data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
@@ -261,6 +267,7 @@ def _read_blocks(text: str):
     newlines = np.concatenate([[-1], np.flatnonzero(data == 10), [len(data)]])
     # the declared labels, or else first-appearance ids; one array of ends per block
     names, ends, declared = {}, [], False
+    values = np.empty(0, np.int64)  # decimal: the declared values, sorted by ``order``
     for first in range(0, len(newlines) - 1, _BLOCK_LINES):
         nl = newlines[first : first + _BLOCK_LINES + 1]
         b, nl = data[nl[0] + 1 : nl[-1]], nl - nl[0] - 1
@@ -297,6 +304,25 @@ def _read_blocks(text: str):
             or ((per_line[line] != 2) | (np.searchsorted(starts, commas) != upto[line] + 1)).any()
         ):
             return False
+        if decimal and (numbers := _decimal_values(b, starts, blank)) is None:
+            if ends:  # earlier blocks were read as numbers
+                return _read_blocks(text, decimal=False)
+            decimal = False
+        if decimal:
+            if len(decl_at):
+                values = np.concatenate([values, numbers[: len(decl_at)]])
+                order = np.argsort(values)
+                if (np.diff(values[order]) == 0).any():  # a label declared twice
+                    return False
+            tokens = numbers[len(decl_at) :]
+            if len(values):
+                distinct, inverse = np.unique(tokens, return_inverse=True)
+                at = np.searchsorted(values, distinct, sorter=order).clip(max=len(values) - 1)
+                if (values[order[at]] != distinct).any():  # an undeclared token
+                    return False
+                tokens = order[at][inverse]
+            ends.append(tokens)
+            continue
         words = b.tobytes().decode(errors="surrogatepass").replace(",", " ").split()
         labels, tokens = words[: len(decl_at)], words[len(decl_at) :]
         declared = declared or len(labels) > 0
@@ -309,7 +335,38 @@ def _read_blocks(text: str):
             ends.append(np.fromiter(map(names.__getitem__, tokens), np.int64, len(tokens)))
         except KeyError:  # an undeclared token
             return False
-    return names, np.concatenate(ends)
+    ends = np.concatenate(ends)
+    if not decimal:
+        return names, ends
+    if not len(values):  # number the values by first appearance
+        values, seen_at, inverse = np.unique(ends, return_index=True, return_inverse=True)
+        order = np.argsort(seen_at)
+        values, ends = values[order], np.argsort(order)[inverse]
+    return list(map(str, values.tolist())), ends
+
+
+def _decimal_values(b, starts, blank):
+    """int64 values of the tokens of block ``b`` that start at ``starts``
+    and run up to the next ``blank`` byte, or None unless each is
+    canonical decimal: ASCII digits alone, at most ``_DIGITS`` of them and
+    no leading zero but in ``0``, so that ``str`` gives the token back."""
+    lead = b[starts] - np.uint8(ord("0"))
+    if (lead > 9).any():  # the cheap test that turns most other labels away
+        return None
+    last = np.flatnonzero(~blank & np.append(blank[1:], True))
+    size = last - starts + 1
+    width = size.max(initial=0)
+    if width > _DIGITS or ((lead == 0) & (size > 1)).any():
+        return None
+    # row j holds each token's digit of 10**j, and '0' left of its first
+    # digit, where the index may wrap but never below -len(b)
+    place = np.arange(width)[:, None]
+    digits = b[last - place]
+    digits[place >= size] = ord("0")
+    digits -= np.uint8(ord("0"))
+    if (digits > 9).any():
+        return None
+    return _POWERS[:width] @ digits
 
 
 def _read_lines(lines: list[str]):

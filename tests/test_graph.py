@@ -353,9 +353,9 @@ def test_randomize_uniform_over_states():
 
 def test_random_digraph_extremes():
     g0 = dg.random_digraph(5, 0.0, seed=1)
-    assert g0.num_connected_pairs == 0
+    assert len(g0.keys) == 0
     g1 = dg.random_digraph(4, 1.0, seed=1)
-    assert g1.num_connected_pairs == 6
+    assert len(g1.keys) == 6
     pure = dg.random_digraph(30, 0.5, seed=2, recip_prob=0.0)
     assert pure.num_recip_pairs == 0
     allrec = dg.random_digraph(30, 0.5, seed=2, recip_prob=1.0)
@@ -370,7 +370,7 @@ def test_random_digraph_edge_count_concentrates():
     g = dg.random_digraph(n, p, seed=42)
     mean = p * n * (n - 1) / 2
     sd = (mean * (1 - p)) ** 0.5
-    assert abs(g.num_connected_pairs - mean) < 4 * sd
+    assert abs(len(g.keys) - mean) < 4 * sd
 
 
 def test_random_digraph_takes_its_vertex_count_as_from_arcs_does():
@@ -477,7 +477,7 @@ def test_from_arcs_empty_list():
         g = dg.DirectedGraph.from_arcs(arcs, n=3)
         assert g == graph_of_pairs(3, [], [])
         assert g == dg.random_digraph(3, 0.0, seed=0)
-        assert g.num_connected_pairs == 0
+        assert len(g.keys) == 0
         validate_graph(g)
 
 
@@ -510,36 +510,51 @@ def test_generators_build_what_from_arcs_builds(g, shape, seed, p, recip):
     assert dg.randomize_directions(g, seed).labels == tuple(labels)
 
 
-_LABEL = st.sampled_from(["a", "b", "c", "d"])
-_PAD = st.sampled_from(["", " ", "\t", "  ", "\x1f", "\xa0"])
-_DECLARATION = st.builds(
-    "{0}# vertex:{1}{2}{0}".format,
-    _PAD,
-    st.sampled_from(["", " ", "  "]),
-    st.sampled_from(["a", "b", "c", "d", "e", "", "a b", "x,y", "f # g"]),
-)
+_ASCII_PAD = ["", " ", "\t", "  ", "\x1f"]
 _COMMENT = st.sampled_from(["# note", "#", "  # vertex", "#vertex: a", "# vertex a", "##"])
 _BLANK = st.sampled_from(["", "   ", "\t"])
 _TAIL = st.sampled_from(["", " # tail", "#x", "\t#"])
-_WHITESPACE_ARC = st.builds(
-    "{0}{1}{2}{3}{0}{4}".format, _PAD, _LABEL, st.sampled_from([" ", "\t", "  "]), _LABEL, _TAIL
-)
-_COMMA_ARC = st.builds("{0}{1}{2},{3}{4}{5}".format, _PAD, _LABEL, _PAD, _PAD, _LABEL, _TAIL)
 _MALFORMED = st.sampled_from(
     ["a", "a b c", "a,b,c", "a,", ",b", " , ", "a b, c", "a,b c", "a, b c", "a,,b", "x,y z", "a b,a b"]
 )
+# canonical decimal labels, which the bulk reader maps by value, and
+# tokens that only look like them, which send a whole text to the dict
+_DECIMALS = ["0", "1", "7", "10", "90", "123456789012345678", "999999999999999999"]
+_NEAR_DECIMALS = ["01", "00", "+1", "-1", "1234567890123456789", "\u0663", "1a", "a1"]
 
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list text mixing declarations (often a leading run of them),
     comments, blank lines, whitespace and comma arcs with padding,
-    self-loops, duplicates and, in about half the texts, malformed lines."""
+    self-loops and duplicates; about half the texts also hold malformed
+    lines, and about half pad with U+00A0.  The five labels are letters,
+    canonical decimals, or canonical decimals with one token that only
+    looks like one among the four that arcs use."""
+    pad = st.sampled_from(_ASCII_PAD + draw(st.sampled_from([[], ["\xa0"]])))
+    pool = draw(st.sampled_from(["letters", "decimal", "near decimal"]))
+    if pool == "letters":
+        labels = ["a", "b", "c", "d", "e"]
+    else:
+        labels = draw(st.lists(st.sampled_from(_DECIMALS), min_size=5, max_size=5, unique=True))
+        if pool == "near decimal":
+            labels[draw(st.integers(0, 3))] = draw(st.sampled_from(_NEAR_DECIMALS))
+    label = st.sampled_from(labels[:4])
+    declaration = st.builds(
+        "{0}# vertex:{1}{2}{0}".format,
+        pad,
+        st.sampled_from(["", " ", "  "]),
+        st.sampled_from(labels + ["", "a b", "x,y", "f # g"]),
+    )
+    whitespace_arc = st.builds(
+        "{0}{1}{2}{3}{0}{4}".format, pad, label, st.sampled_from([" ", "\t", "  "]), label, _TAIL
+    )
+    comma_arc = st.builds("{0}{1}{2},{3}{4}{5}".format, pad, label, pad, pad, label, _TAIL)
     lines = []
     if draw(st.booleans()):
-        order = draw(st.permutations(["a", "b", "c", "d"]))
+        order = draw(st.permutations(labels[:4]))
         lines += [f"# vertex: {lab}" for lab in order[: draw(st.integers(0, 4))]]
-    kinds = [_DECLARATION, _COMMENT, _BLANK, _WHITESPACE_ARC, _WHITESPACE_ARC, _COMMA_ARC]
+    kinds = [declaration, _COMMENT, _BLANK, whitespace_arc, whitespace_arc, comma_arc]
     if draw(st.booleans()):
         kinds.append(_MALFORMED)
     lines += draw(st.lists(st.one_of(kinds), max_size=14))
@@ -665,6 +680,47 @@ def test_state_carries_across_blocks():
     text, _ = _long_text([], "p q", ["q p", "p q", "r p"])
     g = assert_parses_like_reference(text)
     assert g.labels == ("p", "q", "r") and g.num_recip_pairs == 1
+
+
+def _decimal_arcs(count, start=0):
+    """``count`` arc lines between decimal labels, in an order that is
+    not numeric order, from line ``start`` on."""
+    return [f"{i * 7919 % 1009} {i * 104729 % 997}" for i in range(start, start + count)]
+
+
+@pytest.mark.parametrize("odd", ["01", "v1", "+1", "1234567890123456789", "\u0663"])
+def test_one_rule_per_text_across_blocks(odd):
+    """A text that is canonical decimal in its first block and holds some
+    other token in a later one, and the reverse, parse as the reference
+    does; only a text decimal throughout is mapped by value."""
+    head = _decimal_arcs(_BLOCK_LINES + 5)
+    texts = {
+        "later": head + [f"{odd} 3"] + _decimal_arcs(9, len(head)),
+        "first": [f"3 {odd}"] + head,
+        "declared later": [f"# vertex: {i}" for i in range(_BLOCK_LINES + 5)]
+        + [f"# vertex: {odd}", f"{odd} 3", "5 6"],
+    }
+    for lines in texts.values():
+        text = "\n".join(lines) + "\n"
+        assert isinstance(graph_module._read_blocks(text)[0], dict)
+        assert_parses_like_reference(text)
+    text = "\n".join(head) + "\n"
+    assert isinstance(graph_module._read_blocks(text)[0], list)
+    assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "# vertex: 900000000000000000\n# vertex: 5\n# vertex: 123456789012345678\n"
+    "5 900000000000000000\n123456789012345678,5\n900000000000000000 5\n",
+    "# vertex: 900000000000000000\n# vertex: 0\n0 900000000000000001\n",
+    "900000000000000000 5\n123456789012345678 900000000000000000\n5 5\n",
+    "# vertex: 10\n# vertex: 2\n# vertex: 10\n2 10\n",
+    "# vertex: 0\n\n# 0 1\n",
+])
+def test_decimal_labels_far_above_the_vertex_count(text):
+    """Labels far above n, declared or not, map by value; a text with an
+    undeclared value or a label declared twice goes to the line reader."""
+    assert_parses_like_reference(text)
 
 
 @settings(deadline=None, max_examples=60)
