@@ -67,14 +67,22 @@ def _theta(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid theta {text!r}")
 
 
-def _seed(text: str) -> int:
+def _bounded_int(text: str, what: str, least: int, wording: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{what} must be {wording}")
     return value
+
+
+def _seed(text: str) -> int:
+    return _bounded_int(text, "seed", 0, "a non-negative integer")
+
+
+def _cap(text: str) -> int:
+    return _bounded_int(text, "cap", 1, "a positive integer")
 
 
 def _workers() -> int:
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force census for diffing")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--cap", type=int, default=DEFAULT_MAX_N,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_MAX_N,
                    help="vertex-count cap for the cubic recount")
     common(p, fmt=True)
     p.set_defaults(func=cmd_oracle)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 
@@ -215,11 +216,11 @@ def parse_edge_list(text: str) -> DirectedGraph:
 
     An arc line that holds a comma splits on it, each field stripped of
     surrounding whitespace; any other arc line splits on whitespace.
-    Vertex declaration lines fix the label-to-index mapping; without
-    them, vertices are the distinct endpoint labels in order of first
-    appearance.  Declarations must come before the first arc between
-    two different vertices, and none may follow an arc read before any
-    declaration.  Self-loops and duplicate arcs are dropped with a
+    Vertices are numbered by first appearance; declarations, which must
+    come first, fix that order.  First means before the first arc
+    between two different vertices, and not after an arc read before
+    any declaration; given declarations, every arc token must be
+    declared.  Self-loops and duplicate arcs are dropped with a
     warning.  Malformed lines raise InputError with the line number.
     ``to_edge_list_text`` writes the declarations followed by the arcs
     in ascending (src, dst) order.
@@ -256,17 +257,18 @@ def _read_blocks(text: str, decimal: bool = True):
     """Labels and arc ends (src, dst, src, dst, ...) of a regular text, read
     as bytes in blocks of ``_BLOCK_LINES`` lines; False for any other text.
 
-    With ``decimal``, a text whose tokens are all canonical decimal
-    (``_decimal_values``) maps them to indices by value; any other text
-    maps them through a dict of its labels, from the first block on.
+    Vertices are numbered by first appearance; declarations, which must
+    come first, fix that order.  With ``decimal``, a text whose tokens
+    are all canonical decimal (``_decimal_values``) maps them by value,
+    any other text through one dict, from the first block on.
     """
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return False  # a lone '\r' breaks a line
     data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
     # line i lies between newlines[i] and newlines[i + 1]
     newlines = np.concatenate([[-1], np.flatnonzero(data == 10), [len(data)]])
-    # the declared labels, or else first-appearance ids; one array of ends per block
-    names, ends, declared = {}, [], False
+    # label -> id by first appearance, declarations first; one array of ends per block
+    names, ends, decls = defaultdict(count().__next__), [], 0
     values = np.empty(0, np.int64)  # decimal: the declared values, sorted by ``order``
     for first in range(0, len(newlines) - 1, _BLOCK_LINES):
         nl = newlines[first : first + _BLOCK_LINES + 1]
@@ -324,17 +326,14 @@ def _read_blocks(text: str, decimal: bool = True):
             ends.append(tokens)
             continue
         words = b.tobytes().decode(errors="surrogatepass").replace(",", " ").split()
-        labels, tokens = words[: len(decl_at)], words[len(decl_at) :]
-        declared = declared or len(labels) > 0
-        fresh = labels if declared else [t for t in dict.fromkeys(tokens) if t not in names]
-        n0 = len(names)
-        names.update(zip(fresh, count(n0)))
-        if len(names) != n0 + len(fresh):  # a label declared twice
+        k = len(decl_at)
+        ids = np.fromiter(map(names.__getitem__, words), np.int64, len(words))
+        if (ids[:k] != np.arange(decls, decls + k)).any():  # a label declared twice
             return False
-        try:
-            ends.append(np.fromiter(map(names.__getitem__, tokens), np.int64, len(tokens)))
-        except KeyError:  # an undeclared token
+        decls += k
+        if 0 < decls < len(names):  # a label past the declarations: an undeclared token
             return False
+        ends.append(ids[k:])
     ends = np.concatenate(ends)
     if not decimal:
         return names, ends
@@ -371,8 +370,10 @@ def _decimal_values(b, starts, blank):
 
 def _read_lines(lines: list[str]):
     """Labels and arc ends of any text, read one line at a time; the
-    first faulty line raises InputError with its line number."""
-    declared, label_of, ends = {}, {}, []
+    first faulty line raises InputError with its line number.  Vertices
+    are numbered by first appearance; declarations, which must come
+    first, fix that order."""
+    names, ends, decls = {}, [], 0  # label -> id by first appearance; declarations so far
     moved = False  # an arc between two different vertices was read
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -380,12 +381,12 @@ def _read_lines(lines: list[str]):
             label = line[len(_VERTEX_PREFIX) :].strip()
             if not label:
                 message = "empty vertex label"
-            elif moved or label_of:
+            elif moved or len(names) > decls:  # or an arc named a label before any declaration
                 message = "vertex declarations must precede arcs"
-            elif label in declared:
+            elif label in names:
                 message = f"duplicate vertex label {label!r}"
             else:
-                declared[label] = len(declared)
+                names[label], decls = decls, decls + 1
                 continue
             raise InputError(f"line {lineno}: {message}")
         line = line.partition("#")[0].strip()
@@ -394,13 +395,12 @@ def _read_lines(lines: list[str]):
         tokens = [t.strip() for t in line.split(",")] if "," in line else line.split()
         if len(tokens) != 2 or "" in tokens:
             raise InputError(f"line {lineno}: expected two vertex tokens, got {raw!r}")
-        names = declared or label_of
         for token in tokens:
-            if declared and token not in declared:
+            if decls and token not in names:
                 raise InputError(f"line {lineno}: undeclared vertex {token!r}")
             ends.append(names.setdefault(token, len(names)))
         moved = moved or ends[-2] != ends[-1]
-    return declared or label_of, np.array(ends, dtype=np.int64)
+    return names, np.array(ends, dtype=np.int64)
 
 
 def load_edge_list(path) -> DirectedGraph:

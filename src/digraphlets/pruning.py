@@ -324,7 +324,11 @@ def skeleton_summary(graph: DirectedGraph) -> dict:
     """Connectivity facts about a graph's undirected skeleton.
 
     O(n^2) time and n^2 bytes (a Prim pass over the dense 0/1 skeleton),
-    the same order as ``prune``, whose output this checks.
+    the same order as ``prune``.  It reports on prune's output but does
+    not check it independently: it shares ``_join_weights`` with
+    ``prune_weighted``.  The independent checks are CI's scipy
+    components at 5000 and 7000 regions and perfbench's
+    ``check_pruned``.
     """
     n = graph.n
     skel = np.zeros((n, n), dtype=np.int8)

@@ -269,13 +269,18 @@ def test_randomize_deterministic(random_file, tmp_path):
     )
 
 
-@pytest.mark.parametrize("seed", ["-1", "x"])
-def test_bad_seed_is_a_usage_error(seed, random_file, tmp_path, capsys):
+@pytest.mark.parametrize("command, option, value, message", [
+    pytest.param("randomize", "--seed", "-1", "seed must be a non-negative integer", id="-1"),
+    pytest.param("randomize", "--seed", "x", "invalid seed 'x'", id="x"),
+    pytest.param("oracle", "--cap", "0", "cap must be a positive integer", id="cap-0"),
+    pytest.param("oracle", "--cap", "-3", "cap must be a positive integer", id="cap--3"),
+])
+def test_bad_seed_is_a_usage_error(command, option, value, message, random_file, tmp_path, capsys):
+    """A bad --seed or --cap exits 1 before any input is read."""
     out = tmp_path / "x"
-    assert main(["randomize", str(random_file), "--seed", seed, "--out", str(out)]) == 1
+    assert main([command, str(random_file), option, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "argument --seed:" in err and "Traceback" not in err
-    assert ("non-negative" in err) == (seed == "-1")
+    assert f"argument {option}: {message}" in err and "Traceback" not in err
     assert not out.exists()
 
 

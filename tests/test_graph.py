@@ -648,6 +648,8 @@ def _long_text(head, body_line, tail):
     (["# vertex: a", "# vertex: b"], "a b", ["a c"], "undeclared vertex 'c'"),
     (["# vertex: a", "# vertex: b"], "a b", ["# vertex: c"],
      "vertex declarations must precede arcs"),
+    # self-loops index a by first appearance, so no declaration may follow
+    ([], "a a", ["# vertex: b"], "vertex declarations must precede arcs"),
 ])
 def test_errors_past_the_first_block_report_absolute_lines(head, body_line, tail, message):
     text, lineno = _long_text(head, body_line, tail)
@@ -659,11 +661,18 @@ def test_errors_past_the_first_block_report_absolute_lines(head, body_line, tail
 @pytest.mark.parametrize("head, body_line", [
     (["# vertex: a", "# vertex: b"], "a b"),
     ([], "a b"),
+    # no arc before it, so the declaration is in time, but c is declared twice
+    (["# vertex: a", "# vertex: b", "# vertex: c"], "# a comment"),
 ])
 def test_declaration_opening_the_second_block_is_late(head, body_line):
+    """A declaration that opens the second block is checked against what
+    the first block read: after an arc it is late, after its own label's
+    declaration a duplicate."""
     lines = head + [body_line] * (_BLOCK_LINES - len(head)) + ["# vertex: c", "a b"]
     text = "\n".join(lines) + "\n"
-    message = f"^line {_BLOCK_LINES + 1}: vertex declarations must precede arcs$"
+    late = "# vertex: c" not in head
+    fault = "vertex declarations must precede arcs" if late else "duplicate vertex label 'c'"
+    message = f"^line {_BLOCK_LINES + 1}: {fault}$"
     with pytest.raises(InputError, match=message):
         dg.parse_edge_list(text)
     assert_parses_like_reference(text)
