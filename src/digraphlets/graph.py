@@ -99,10 +99,10 @@ class DirectedGraph:
 
     ``keys[k] = lo * n + hi`` (lo < hi) names the k-th connected pair,
     the keys ascending, and ``codes[k]`` is its relation: 0 lo->hi,
-    1 hi->lo, 2 reciprocal.  ``degrees`` and ``arcs`` each select from
-    ``half_edges`` on each call.  Graphs are built by ``from_arcs``, the
-    one public constructor, which checks its input; the random
-    generators below store pairs they drew themselves.
+    1 hi->lo, 2 reciprocal.  ``degrees`` and ``arcs`` are derived on
+    each call.  Graphs are built by ``from_arcs``, the one public
+    constructor, which checks its input; the random generators below
+    store pairs they drew themselves.
     """
 
     n: int
@@ -185,9 +185,10 @@ class DirectedGraph:
     def arcs(self):
         """All arcs as (src, dst) arrays, reciprocal edges contributing
         both directions, sorted by (src, dst)."""
-        vertex, kind, neighbor = self.half_edges()
-        out = kind != EDGE_KINDS.index("-")  # the arc vertex->neighbor exists
-        return np.divmod(np.sort(vertex[out] * self.n + neighbor[out]), self.n)
+        lo, hi = np.divmod(self.keys[self.codes != 0], self.n)  # the pairs with hi->lo
+        keys = np.sort(np.concatenate([self.keys[self.codes != 1], hi * self.n + lo]))
+        src = keys // self.n
+        return src, keys - src * self.n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -233,8 +234,9 @@ def parse_edge_list(text: str) -> DirectedGraph:
     are regular.  Any other text is read again, one line at a time, up to
     its first faulty line.  A regular text whose labels are all canonical
     decimal (ASCII digits, no sign, no leading zero but in ``0``, at most
-    18 digits) maps them to indices by value, not through a dict of label
-    strings; the result is the same.
+    18 digits) maps them to indices through a table indexed by value,
+    not a dict of label strings, while the largest value read stays
+    below 4 * tokens read + 2**16; the result is the same.
     """
     names, ends = _read_blocks(text) or _read_lines(text.splitlines())
     src, dst = ends[0::2], ends[1::2]
@@ -259,17 +261,19 @@ def _read_blocks(text: str, decimal: bool = True):
 
     Vertices are numbered by first appearance; declarations, which must
     come first, fix that order.  With ``decimal``, a text whose tokens
-    are all canonical decimal (``_decimal_values``) maps them by value,
-    any other text through one dict, from the first block on.
+    are all canonical decimal (``_decimal_values``), each block's largest
+    value so far below ``4 * tokens read + 2**16``, maps them at its end
+    through one table indexed by value.  Any other text goes through one
+    dict from the block that breaks the rule on, from the first if an
+    earlier block was read as numbers.
     """
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return False  # a lone '\r' breaks a line
     data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
     # line i lies between newlines[i] and newlines[i + 1]
     newlines = np.concatenate([[-1], np.flatnonzero(data == 10), [len(data)]])
-    # label -> id by first appearance, declarations first; one array of ends per block
-    names, ends, decls = defaultdict(count().__next__), [], 0
-    values = np.empty(0, np.int64)  # decimal: the declared values, sorted by ``order``
+    # label -> id by first appearance; each block's ids or (decimal) values; largest value
+    names, ends, decls, top = defaultdict(count().__next__), [], 0, 0
     for first in range(0, len(newlines) - 1, _BLOCK_LINES):
         nl = newlines[first : first + _BLOCK_LINES + 1]
         b, nl = data[nl[0] + 1 : nl[-1]], nl - nl[0] - 1
@@ -300,31 +304,22 @@ def _read_blocks(text: str, decimal: bool = True):
             (per_line > 2).any()
             or not np.array_equal(np.flatnonzero(per_line == 1), decl_at)
             # no declaration after an arc line
-            or len(decl_at) and (sum(map(len, ends)) or (per_line[: decl_at[-1]] == 2).any())
+            or len(decl_at) and (sum(map(len, ends)) > decls or 2 in per_line[: decl_at[-1]])
             # a visible comma lies between the two tokens of an arc line
             or (np.diff(line) == 0).any()
             or ((per_line[line] != 2) | (np.searchsorted(starts, commas) != upto[line] + 1)).any()
         ):
             return False
-        if decimal and (numbers := _decimal_values(b, starts, blank)) is None:
-            if ends:  # earlier blocks were read as numbers
-                return _read_blocks(text, decimal=False)
-            decimal = False
-        if decimal:
-            if len(decl_at):
-                values = np.concatenate([values, numbers[: len(decl_at)]])
-                order = np.argsort(values)
-                if (np.diff(values[order]) == 0).any():  # a label declared twice
-                    return False
-            tokens = numbers[len(decl_at) :]
-            if len(values):
-                distinct, inverse = np.unique(tokens, return_inverse=True)
-                at = np.searchsorted(values, distinct, sorter=order).clip(max=len(values) - 1)
-                if (values[order[at]] != distinct).any():  # an undeclared token
-                    return False
-                tokens = order[at][inverse]
-            ends.append(tokens)
-            continue
+        numbers = _decimal_values(b, starts, blank) if decimal else None
+        if numbers is not None:
+            top = max(top, numbers.max(initial=0))
+            if top < 4 * (sum(map(len, ends)) + len(numbers)) + (1 << 16):  # table in O(text)
+                ends.append(numbers)
+                decls += len(decl_at)
+                continue
+        if decimal and ends:  # earlier blocks were read as numbers
+            return _read_blocks(text, decimal=False)
+        decimal = False
         words = b.tobytes().decode(errors="surrogatepass").replace(",", " ").split()
         k = len(decl_at)
         ids = np.fromiter(map(names.__getitem__, words), np.int64, len(words))
@@ -333,14 +328,21 @@ def _read_blocks(text: str, decimal: bool = True):
         decls += k
         if 0 < decls < len(names):  # a label past the declarations: an undeclared token
             return False
-        ends.append(ids[k:])
-    ends = np.concatenate(ends)
+        ends.append(ids)
+    values, ends = np.split(np.concatenate(ends), [decls])
     if not decimal:
         return names, ends
     if not len(values):  # number the values by first appearance
-        values, seen_at, inverse = np.unique(ends, return_index=True, return_inverse=True)
-        order = np.argsort(seen_at)
-        values, ends = values[order], np.argsort(order)[inverse]
+        seen_at = np.full(top + 1, len(ends))
+        np.minimum.at(seen_at, ends, np.arange(len(ends)))
+        values = np.flatnonzero(seen_at < len(ends))
+        values = values[np.argsort(seen_at[values])]
+    table, ids = np.full(top + 1, -1), np.arange(len(values))
+    table[values] = ids
+    ends = table[ends]
+    # a label declared twice reads back another id, an undeclared token -1
+    if (table[values] != ids).any() or (ends < 0).any():
+        return False
     return list(map(str, values.tolist())), ends
 
 
@@ -357,12 +359,10 @@ def _decimal_values(b, starts, blank):
     width = size.max(initial=0)
     if width > _DIGITS or ((lead == 0) & (size > 1)).any():
         return None
-    # row j holds each token's digit of 10**j, and '0' left of its first
+    # row j holds each token's digit of 10**j, and 0 left of its first
     # digit, where the index may wrap but never below -len(b)
     place = np.arange(width)[:, None]
-    digits = b[last - place]
-    digits[place >= size] = ord("0")
-    digits -= np.uint8(ord("0"))
+    digits = (b[last - place] - np.uint8(ord("0"))) * (place < size)
     if (digits > 9).any():
         return None
     return _POWERS[:width] @ digits

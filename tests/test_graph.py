@@ -727,9 +727,64 @@ def test_one_rule_per_text_across_blocks(odd):
     "# vertex: 0\n\n# 0 1\n",
 ])
 def test_decimal_labels_far_above_the_vertex_count(text):
-    """Labels far above n, declared or not, map by value; a text with an
-    undeclared value or a label declared twice goes to the line reader."""
+    """Labels far above n, declared or not, lie past the value table's
+    bound and go through the label dict; a text with an undeclared value
+    or a label declared twice goes to the line reader."""
     assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("declared", [True, False])
+def test_value_table_bound(declared, blocks):
+    """A decimal text maps through the value table while, after each
+    block, its largest value stays below 4 * tokens read + 2**16, and
+    through the label dict once a block reaches that, the first or a
+    later one."""
+    if declared:
+        head = [f"# vertex: {i}" for i in range(_BLOCK_LINES if blocks == 2 else 2)]
+    else:
+        head = _decimal_arcs(_BLOCK_LINES) if blocks == 2 else []
+    tail = ["# vertex: {0}"] * declared + ["0 {0}", "{0} 1"]
+    bound = 4 * sum(1 if line[0] == "#" else 2 for line in head + tail) + 2**16
+    for top, path in ((bound - 1, list), (bound, dict)):
+        text = "\n".join(head + [line.format(top) for line in tail]) + "\n"
+        assert isinstance(graph_module._read_blocks(text)[0], path)
+        assert str(top) in assert_parses_like_reference(text).labels
+
+
+@pytest.mark.parametrize("label", [7, _BLOCK_LINES + 1])
+def test_decimal_label_declared_twice_across_blocks(label):
+    """Declarations of 0 .. _BLOCK_LINES + 1, which cross into the second
+    block, then ``label`` (first declared in the first block or in the
+    second) once more."""
+    lines = [f"# vertex: {i}" for i in range(_BLOCK_LINES + 2)] + [f"# vertex: {label}", "7 0"]
+    text = "\n".join(lines) + "\n"
+    assert graph_module._read_blocks(text) is False
+    message = f"^line {_BLOCK_LINES + 3}: duplicate vertex label '{label}'$"
+    with pytest.raises(InputError, match=message):
+        dg.parse_edge_list(text)
+    assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("token", ["11", "7", "0"])
+def test_undeclared_decimal_token(token):
+    """A token above every declared value, one inside their range and
+    one below it are each undeclared."""
+    text = f"# vertex: 5\n# vertex: 10\n# vertex: 2\n10 5\n5 {token}\n"
+    assert graph_module._read_blocks(text) is False
+    with pytest.raises(InputError, match=f"^line 5: undeclared vertex '{token}'$"):
+        dg.parse_edge_list(text)
+    assert_parses_like_reference(text)
+
+
+def test_undeclared_decimal_labels_number_by_first_appearance_across_blocks():
+    """Values new in the second block, below those new at the end of the
+    first, come after them: the order is first appearance, not value."""
+    lines = _decimal_arcs(_BLOCK_LINES - 1) + ["9000 8000", "2000 9000", "1500 8000"]
+    text = "\n".join(lines) + "\n"
+    assert isinstance(graph_module._read_blocks(text)[0], list)
+    g = assert_parses_like_reference(text)
+    assert g.labels[-4:] == ("9000", "8000", "2000", "1500")
 
 
 @settings(deadline=None, max_examples=60)
