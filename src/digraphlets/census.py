@@ -131,19 +131,19 @@ def raw_census(g: DirectedGraph) -> RawCensus:
     dmax = int(degrees.sum(axis=1).max(initial=0))
     if dmax * dmax >= 1 << 53:
         raise InvariantError("counts could exceed the exact range of float64")
-    far = degrees[neighbor]
     wedge_totals = np.zeros((n, 9), dtype=np.int64)
-    for c, seen in enumerate(EDGE_KINDS):  # far[:, c] = d_h^seen feeds L(., MIRROR[seen])
+    for c, seen in enumerate(EDGE_KINDS):  # far = d_h^seen feeds L(., MIRROR[seen])
         w_cols = [WEDGE_INDEX[(alpha, MIRROR[seen])] for alpha in EDGE_KINDS]
-        wedge_totals[:, w_cols] = np.bincount(slot, far[:, c], 3 * n).reshape(n, 3)
+        far = degrees[:, c].astype(np.float64)[neighbor]
+        wedge_totals[:, w_cols] = np.bincount(slot, far, 3 * n).reshape(n, 3)
     wedge_totals[:, [WEDGE_INDEX[(k, k)] for k in EDGE_KINDS]] -= degrees
     by_rank = np.argsort(degrees.sum(axis=1), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[by_rank] = np.arange(n)
-    up = rank[vertex] < rank[neighbor]
-    keys = rank[vertex[up]] * n + rank[neighbor[up]]
-    order = np.argsort(keys)
-    keys, kinds = keys[order], kind[up][order]
+    r_lo, r_hi = np.split(rank[vertex], 2)  # the half-edges see each pair from lo, then hi
+    up = r_lo < r_hi  # keep each pair as seen from its lower-ranked end
+    packed = np.where(up, r_lo * n + r_hi, r_hi * n + r_lo) * 3 + np.where(up, *np.split(kind, 2))
+    keys, kinds = np.divmod(np.sort(packed), 3)
     tails, heads = np.divmod(keys, n)
     ptr = np.append(0, np.cumsum(np.bincount(tails, minlength=n)))  # row t is ptr[t]:ptr[t+1]
     bounds = np.append(0, np.cumsum(np.diff(ptr)[heads]))  # edge e makes tries bounds[e]:bounds[e+1]

@@ -19,7 +19,6 @@ whitespace or a comma.  A reciprocal edge is written as its two arcs.
 
 from __future__ import annotations
 
-import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
@@ -33,12 +32,10 @@ from .taxonomy import EDGE_KINDS, MIRROR
 
 _VERTEX_PREFIX = "# vertex:"
 _BLOCK_LINES = 1 << 16  # lines read at once; bounds the parser's working set
-_PREFIX_TAIL = np.frombuffer(_VERTEX_PREFIX[1:].encode(), np.uint8)
-# bulk reader byte kinds: 0 token, 1 whitespace, 2 '#', 3 ',', 4 may start a _WIDE one
-_KINDS = b"\t\n\r\x1f ", b"#", b",", b"\v\f\x1c\x1d\x1e\xc2\xe1\xe2\xe3"
+_PREFIX = np.frombuffer(_VERTEX_PREFIX.encode(), np.uint8)
+# bulk reader byte kinds: 0 token, 1 whitespace, 2 '#', 3 declines the text
+_KINDS = b"\t\n\x1f ", b"#", b"\r\v\f\x1c\x1d\x1e,"
 _BYTE_KIND = bytes(sum(k * (c in s) for k, s in enumerate(_KINDS, 1)) for c in range(256))
-# what str.split or str.splitlines breaks on, other than kind 1 bytes
-_WIDE = re.compile("[\v\f\x1c-\x1e\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 # a pair's code, the kind of hi seen from lo -> the kind of lo seen from hi
 _MIRROR_CODE = np.array([EDGE_KINDS.index(MIRROR[k]) for k in EDGE_KINDS])
 _DIGITS = 18  # the longest canonical decimal label; 10**18 - 1 fits int64
@@ -90,7 +87,7 @@ def _pack(n: int, src, dst):
     keys, side = np.divmod(packed, 2)
     first = np.diff(keys, prepend=-1) != 0
     last = np.diff(keys, append=n * n) != 0
-    return keys[first], np.where(side[first] == side[last], side[first], 2)
+    return keys[first], 2 * side[last] - side[first]  # (0, 1) is the one mixed pair
 
 
 @dataclass(eq=False)
@@ -226,19 +223,21 @@ def parse_edge_list(text: str) -> DirectedGraph:
     ``to_edge_list_text`` writes the declarations followed by the arcs
     in ascending (src, dst) order.
 
-    A regular text is read in bulk, as bytes in blocks of ``_BLOCK_LINES``
-    lines: ``\\n`` or ``\\r\\n`` line ends and no Unicode whitespace, all
-    declarations before the first arc line, one unique label free of ``,``
-    in each, two tokens on each arc line with at most one comma between
-    them, and with declarations only declared tokens.  Saved edge lists
-    are regular.  Any other text is read again, one line at a time, up to
-    its first faulty line.  A regular text whose labels are all canonical
+    A text in the form ``to_edge_list_text`` writes is read in bulk, as
+    bytes in blocks of ``_BLOCK_LINES`` lines: ASCII, ``\\n`` line ends,
+    whitespace between tokens and no comma, each ``#`` in column 0 opening
+    a declaration of one unique label, all declarations before the first
+    arc line, two tokens on each arc line and, with declarations, only
+    declared tokens, so its labels are valid as read.  Any other text is
+    read again, one line at a time, up to its first faulty line, and its
+    labels are checked.  A bulk text whose labels are all canonical
     decimal (ASCII digits, no sign, no leading zero but in ``0``, at most
     18 digits) maps them to indices through a table indexed by value,
     not a dict of label strings, while the largest value read stays
     below 4 * tokens read + 2**16; the result is the same.
     """
-    names, ends = _read_blocks(text) or _read_lines(text.splitlines())
+    bulk = _read_blocks(text)
+    names, ends = bulk or _read_lines(text.splitlines())
     src, dst = ends[0::2], ends[1::2]
     loop = src == dst
     loops = int(np.count_nonzero(loop))
@@ -251,13 +250,16 @@ def parse_edge_list(text: str) -> DirectedGraph:
     dupes = len(src) - loops - len(keys) - int(np.count_nonzero(codes == 2))
     if dupes:
         warnings.warn(f"collapsed {dupes} duplicate arc(s)", stacklevel=2)
-    # the label check comes after both warnings
-    return DirectedGraph(n, _check_labels(names, n), keys, codes)
+    # the line reader's labels are checked after both warnings
+    return DirectedGraph(n, tuple(names) if bulk else _check_labels(names, n), keys, codes)
 
 
 def _read_blocks(text: str, decimal: bool = True):
-    """Labels and arc ends (src, dst, src, dst, ...) of a regular text, read
-    as bytes in blocks of ``_BLOCK_LINES`` lines; False for any other text.
+    """Labels and arc ends (src, dst, src, dst, ...) of a text in the form
+    ``to_edge_list_text`` writes, read as bytes in blocks of ``_BLOCK_LINES``
+    lines; False for any other text.  That form is ASCII, with ``\\n`` line
+    ends, whitespace between tokens and no comma, and each ``#`` opens a
+    ``# vertex:`` declaration in column 0.
 
     Vertices are numbered by first appearance; declarations, which must
     come first, fix that order.  With ``decimal``, a text whose tokens
@@ -267,9 +269,9 @@ def _read_blocks(text: str, decimal: bool = True):
     dict from the block that breaks the rule on, from the first if an
     earlier block was read as numbers.
     """
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
-        return False  # a lone '\r' breaks a line
-    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    if not text.isascii():
+        return False
+    data = np.frombuffer(text.encode(), np.uint8)
     # line i lies between newlines[i] and newlines[i + 1]
     newlines = np.concatenate([[-1], np.flatnonzero(data == 10), [len(data)]])
     # label -> id by first appearance; each block's ids or (decimal) values; largest value
@@ -278,36 +280,22 @@ def _read_blocks(text: str, decimal: bool = True):
         nl = newlines[first : first + _BLOCK_LINES + 1]
         b, nl = data[nl[0] + 1 : nl[-1]], nl - nl[0] - 1
         kind = np.frombuffer(b.tobytes().translate(_BYTE_KIND), np.uint8)
-        if (kind == 4).any() and _WIDE.search(b.tobytes().decode(errors="surrogatepass")):
-            return False
-        hidden, decl_at = np.zeros(len(b), bool), np.empty(0, np.int64)
         hashes = np.flatnonzero(kind == 2)
-        if len(hashes):  # h: the first '#' of a line, which a declaration opens with
-            line, first_hash = np.unique(np.searchsorted(nl, hashes) - 1, return_index=True)
-            h, solid = hashes[first_hash], np.flatnonzero(kind != 1)
-            opens = solid[np.searchsorted(solid, nl[line])] == h
-            at = np.minimum(h[:, None] + np.arange(1, len(_VERTEX_PREFIX)), len(b) - 1)
-            is_decl = opens & (b[at] == _PREFIX_TAIL).all(axis=1)
-            decl_at = line[is_decl]
-            # hide a declaration's prefix, and any other line from its '#'
-            step = np.zeros(len(b) + 1, np.int8)
-            step[h], step[np.where(is_decl, h + len(_VERTEX_PREFIX), nl[line + 1])] = 1, -1
-            hidden = np.cumsum(step[:-1], dtype=np.int8).view(bool)
-            b = np.where(hidden, np.uint8(32), b)
-        blank = (kind & 1).view(bool) | hidden  # whitespace, ',' or hidden
+        decl_at = np.searchsorted(nl, hashes) - 1  # the line of each '#'
+        prefix = np.minimum(hashes[:, None] + np.arange(len(_VERTEX_PREFIX)), len(b) - 1)
+        blank = kind != 0
+        blank[prefix] = True  # hide each declaration's prefix
         starts = np.flatnonzero(~blank & np.append(True, blank[:-1]))
-        upto = np.searchsorted(starts, nl)  # tokens that start before each newline
-        per_line = np.diff(upto)
-        commas = np.flatnonzero((kind == 3) & ~hidden)
-        line = np.searchsorted(nl, commas) - 1
+        per_line = np.diff(np.searchsorted(starts, nl))  # tokens that start on each line
         if (
-            (per_line > 2).any()
+            (kind == 3).any()
+            # each '#' opens a declaration in column 0
+            or (nl[decl_at] + 1 != hashes).any()
+            or (b[prefix] != _PREFIX).any()
+            or (per_line > 2).any()
             or not np.array_equal(np.flatnonzero(per_line == 1), decl_at)
             # no declaration after an arc line
             or len(decl_at) and (sum(map(len, ends)) > decls or 2 in per_line[: decl_at[-1]])
-            # a visible comma lies between the two tokens of an arc line
-            or (np.diff(line) == 0).any()
-            or ((per_line[line] != 2) | (np.searchsorted(starts, commas) != upto[line] + 1)).any()
         ):
             return False
         numbers = _decimal_values(b, starts, blank) if decimal else None
@@ -320,7 +308,7 @@ def _read_blocks(text: str, decimal: bool = True):
         if decimal and ends:  # earlier blocks were read as numbers
             return _read_blocks(text, decimal=False)
         decimal = False
-        words = b.tobytes().decode(errors="surrogatepass").replace(",", " ").split()
+        words = b.tobytes().decode().replace(_VERTEX_PREFIX, "").split()
         k = len(decl_at)
         ids = np.fromiter(map(names.__getitem__, words), np.int64, len(words))
         if (ids[:k] != np.arange(decls, decls + k)).any():  # a label declared twice

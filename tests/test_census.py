@@ -369,3 +369,17 @@ def test_star_is_linear():
     assert not raw.wedge_totals[0].any()
     assert (raw.wedge_totals[1:, WEDGE_INDEX[("-", "-")]] == n - 2).all()
     assert np.array_equal(raw.wedges, raw.wedge_totals)
+
+
+def test_every_pair_kept_as_seen_from_hi_with_degree_ties():
+    # hubs 0 and 1 and leaves 2..k + 1: every pair's hi end has the lower
+    # total degree, so each is kept as seen from hi, and leaves 2..k tie
+    k = 12
+    pairs = [(0, 1)] + [(0, v) for v in range(2, k + 2)] + [(1, v) for v in range(2, k + 1)]
+    g = graph_of_pairs(k + 2, pairs, np.random.default_rng(5).integers(0, 3, len(pairs)))
+    total = g.degrees.sum(axis=1)
+    lo, hi = g.connected_pairs()[0].T
+    assert (total[hi] < total[lo]).all() and (total[2:k + 1] == 2).all()
+    raw = dg.raw_census(g)
+    assert raw.triangles.any() and raw == dg.oracle_census(g)
+    assert_census_like_reference(g)

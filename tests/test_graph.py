@@ -711,7 +711,9 @@ def test_one_rule_per_text_across_blocks(odd):
     }
     for lines in texts.values():
         text = "\n".join(lines) + "\n"
-        assert isinstance(graph_module._read_blocks(text)[0], dict)
+        read = graph_module._read_blocks(text)
+        # a text that is not ASCII is left to the line reader
+        assert isinstance(read[0], dict) if odd.isascii() else read is False
         assert_parses_like_reference(text)
     text = "\n".join(head) + "\n"
     assert isinstance(graph_module._read_blocks(text)[0], list)
@@ -812,9 +814,9 @@ def test_writer_crosses_gather_blocks_and_writes_arcless_graphs():
 
 
 def test_regular_texts_are_read_in_bulk(monkeypatch):
-    """Texts whose declarations all come first, with unique labels,
-    two tokens per arc line and (given declarations) only declared
-    tokens never reach the line-by-line reader."""
+    """Texts in the written form, whose declarations all come first, with
+    unique labels, two tokens per arc line and (given declarations) only
+    declared tokens never reach the line-by-line reader."""
     def fail(lines):
         raise AssertionError("the line-by-line reader ran")
 
@@ -822,34 +824,49 @@ def test_regular_texts_are_read_in_bulk(monkeypatch):
     assert saved.count("\n") > _BLOCK_LINES
     texts = [
         saved,
+        # no declarations, a self-loop and duplicates
         saved.split("\n", 500)[-1] + "p q\nq p\np q\nq q\n",
-        "# vertex: a\n\n# a comment\r\n# vertex: b\r\n# vertex: c\na b\r\nc c\n",
-        "# vertex: a\n# vertex: b\na b # vertex: c\nb,a # vertex: d\n",
-        "# header\r\n a , b \r\n\r\nb,c # tail\r\n  \r\nc,a\r\nc ,  a\r\n",
-        # non-ASCII labels and comments, with no Unicode whitespace
-        "# vertex: Région\n# vertex: Zürich\n# vertex: 東京\nRégion Zürich\n東京,Région # ü\n",
-        # past one block: comma arcs with trailing comments
-        "".join(f"v{i % 97} ,v{i * 7 % 101} # arc {i}\n" for i in range(_BLOCK_LINES + 9)),
     ]
     monkeypatch.setattr(graph_module, "_read_lines", fail)
     for text in texts:
         assert isinstance(assert_parses_like_reference(text), dg.DirectedGraph)
 
 
+@pytest.mark.parametrize("text", [
+    "# vertex: a\n\n# a comment\r\n# vertex: b\r\n# vertex: c\na b\r\nc c\n",
+    "# vertex: a\n# vertex: b\na b # vertex: c\nb,a # vertex: d\n",
+    "# header\r\n a , b \r\n\r\nb,c # tail\r\n  \r\nc,a\r\nc ,  a\r\n",
+    # non-ASCII labels and comments, with no Unicode whitespace
+    "# vertex: Région\n# vertex: Zürich\n# vertex: 東京\nRégion Zürich\n東京,Région # ü\n",
+    # past one block: comma arcs with trailing comments
+    "".join(f"v{i % 97} ,v{i * 7 % 101} # arc {i}\n" for i in range(_BLOCK_LINES + 9)),
+    # one departure from the written form each
+    "# note\na b\n",
+    "a b # note\n",
+    " # vertex: a\n# vertex: b\na b\n",
+    "a b\r\nb a\r\n",
+    "a,b\n",
+    "é b\n",
+])
+def test_texts_outside_the_written_form_go_to_the_line_reader(text):
+    """Comments, ``\\r\\n`` line ends, commas and text that is not ASCII
+    leave the bulk reader; the line reader parses them as the reference."""
+    assert graph_module._read_blocks(text) is False
+    assert isinstance(assert_parses_like_reference(text), dg.DirectedGraph)
+
+
 def test_bulk_byte_kinds_cover_what_str_breaks_on():
-    """The bulk reader splits on its kind 1 bytes alone and declines a
-    block holding a _WIDE character; together they must be everything
-    str.split breaks on, which includes what str.splitlines breaks on,
-    and kind 4 must mark the first byte of every _WIDE character."""
-    kind, wide = graph_module._BYTE_KIND, graph_module._WIDE
-    everything = "".join(map(chr, range(0x110000)))
-    space = [c for c in everything if c.isspace()]
-    breaks = [c for c in space if len(f"a{c}b".splitlines()) == 2]
-    assert len(everything.splitlines()) == len(breaks) + 1  # no break is missed
-    assert {i for i in range(256) if kind[i] == 1} == set(b"\t\n\r\x1f ")
-    wides = wide.findall(everything)
-    assert wides == [c for c in space if c not in "\t\n\r\x1f "]
-    assert {i for i in range(256) if kind[i] == 4} == {c.encode()[0] for c in wides}
+    """The bulk reader splits on its kind 1 bytes alone: every ASCII
+    character that str.split or str.splitlines breaks on is kind 1 or
+    declines the text."""
+    kind = graph_module._BYTE_KIND
+    breaks = [chr(i) for i in range(128) if len(f"a{chr(i)}b".split()) == 2
+              or len(f"a{chr(i)}b".splitlines()) == 2]
+    assert {i for i in range(256) if kind[i] == 1} == set(b"\t\n\x1f ") <= set(map(ord, breaks))
+    for c in breaks:
+        text = f"a{c}b\n"
+        assert kind[ord(c)] == 1 or graph_module._read_blocks(text) is False, repr(c)
+        assert_parses_like_reference(text)
 
 
 @pytest.mark.parametrize("line", [
