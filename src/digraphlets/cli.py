@@ -219,11 +219,11 @@ def cmd_randomize(args) -> None:
 def cmd_prune(args) -> None:
     w = load_weighted_csv(args.input)
     with naming(args.input):
-        pruned, threshold = prune_weighted(w)
+        pruned, threshold, largest = prune_weighted(w)
     out = _outdir(args)
     path = out / "pruned.edgelist"
     save_edge_list(pruned, path)
-    summary = skeleton_summary(pruned)
+    summary = skeleton_summary(pruned, largest)
     meta = out / "prune_meta.json"
     write_json(meta, {
         "threshold": round9(threshold),

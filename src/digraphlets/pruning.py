@@ -13,8 +13,9 @@ hold after pruning:
 Both criteria only lose arcs as t grows, so each holds exactly below a
 bound on ``max(|W|, |W|^T)``: a per-row order statistic for (ii), and
 for (i) the best window of 99% of the vertices in the order in which
-Prim's maximum spanning tree joins them.  The same Prim pass over the
-pruned skeleton gives ``skeleton_summary``'s largest component.
+Prim's maximum spanning tree joins them.  The pruned graph's largest
+component is the longest run of that join order between join weights
+<= t, so the same pass reports it.
 
 Working set: ``prune_weighted`` holds W, ``sym = max(|W|, |W|^T)``
 (built in TILE x TILE tiles, so the transpose is read in cache-sized
@@ -284,13 +285,15 @@ def _symmetric_strength(values: np.ndarray) -> np.ndarray:
     return sym
 
 
-def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
+def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float, int]:
     """Prune to the largest threshold keeping the matrix well connected.
 
     Arcs are kept where |w_ij| > t, for the largest t at which at least
     ``CONNECTIVITY`` of the vertices share one weak component and every
-    total degree is at least ``DEGREE_FACTOR * ln(n)``.  Raises
-    UnprunableError when even t = 0 violates a criterion.
+    total degree is at least ``DEGREE_FACTOR * ln(n)``.  Returns the
+    pruned graph, t and the number of vertices in the pruned graph's
+    largest weak component.  Raises UnprunableError when even t = 0
+    violates a criterion.
     """
     n = w.n
     if n < 3:
@@ -303,7 +306,8 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
     # connectivity: ceil(0.99 n) vertices share a component exactly
     # while that many - 1 join weights in a row are > t
     window = math.ceil(CONNECTIVITY * n) - 1
-    t_conn = sliding_window_view(_join_weights(sym), window).min(axis=1).max()
+    joined = _join_weights(sym)
+    t_conn = sliding_window_view(joined, window).min(axis=1).max()
     del sym
     bound = min(t_deg, t_conn)
     if bound <= 0:
@@ -317,26 +321,20 @@ def prune_weighted(w: WeightedMatrix) -> tuple[DirectedGraph, float]:
         t = max(t, block.max(where=block < bound, initial=0.0))
         arcs.append(np.argwhere(block >= bound) + (i, 0))
     graph = DirectedGraph.from_arcs(np.concatenate(arcs), n=n, labels=w.labels)
-    return graph, float(t)
+    largest = np.diff(np.flatnonzero(np.r_[True, joined <= t, True])).max()
+    return graph, float(t), int(largest)
 
 
-def skeleton_summary(graph: DirectedGraph) -> dict:
-    """Connectivity facts about a graph's undirected skeleton.
+def skeleton_summary(graph: DirectedGraph, largest: int) -> dict:
+    """Connectivity facts about a pruned graph whose largest weak
+    component ``prune_weighted`` found to hold ``largest`` vertices.
 
-    O(n^2) time and n^2 bytes (a Prim pass over the dense 0/1 skeleton),
-    the same order as ``prune``.  It reports on prune's output but does
-    not check it independently: it shares ``_join_weights`` with
-    ``prune_weighted``.  The independent checks are CI's scipy
-    components at 5000 and 7000 regions and perfbench's
-    ``check_pruned``.
+    perfbench/child.py times ``cli.skeleton_summary`` by name; it goes
+    when ROADMAP item 1 step 2 moves the bench onto the package's records.
     """
     n = graph.n
-    skel = np.zeros((n, n), dtype=np.int8)
-    lo, hi = np.divmod(graph.keys, n)
-    skel[lo, hi] = skel[hi, lo] = 1
-    cuts = np.flatnonzero(np.r_[True, _join_weights(skel) == 0, True])
     return {
-        "largest_component_fraction": int(np.diff(cuts).max()) / n,
+        "largest_component_fraction": largest / n,
         "min_total_degree": int(graph.degrees.sum(axis=1).min()),
         "degree_floor": DEGREE_FACTOR * math.log(n),
     }

@@ -2,6 +2,7 @@ import csv
 import errno
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import digraphlets as dg
 from digraphlets import analysis, cli
 from digraphlets.cli import main
 from digraphlets.errors import InputError
-from digraphlets.fileio import parse_signature_csv
+from digraphlets.fileio import parse_signature_csv, round9
 
 NOT_UTF8 = b"a b\n\xff\xfe c\n"
 BOM = "\ufeff".encode()
@@ -294,19 +296,33 @@ def test_commands_compose(random_file, tmp_path):
 
 
 def test_prune_command(tmp_path):
-    n = 20
-    w = np.full((n, n), 1.0)
-    np.fill_diagonal(w, 0.0)
-    path = tmp_path / "w.csv"
-    path.write_text("\n".join(",".join(f"{x:g}" for x in row) for row in w) + "\n")
-    out = tmp_path / "p"
-    assert main(["prune", str(path), "--out", str(out)]) == 0
-    meta = json.loads((out / "prune_meta.json").read_text())
-    assert meta["threshold"] == 0.0
-    assert meta["arcs"] == n * (n - 1)
-    assert meta["largest_component_fraction"] == 1.0
-    pruned = dg.load_edge_list(out / "pruned.edgelist")
-    assert pruned.n == n
+    uniform = np.full((20, 20), 1.0)
+    weights = np.random.default_rng(3).normal(size=(40, 40))
+    for name, w in [("uniform", uniform), ("normal", weights)]:
+        np.fill_diagonal(w, 0.0)
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(",".join(map(repr, row)) for row in w.tolist()) + "\n")
+        out = tmp_path / name
+        assert main(["prune", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "prune_meta.json").read_text())
+        # every field, recomputed from the written edge list
+        n = len(w)
+        pruned = dg.load_edge_list(out / "pruned.edgelist")
+        kept = np.zeros((n, n), dtype=bool)
+        kept[pruned.arcs()] = True
+        skel = kept | kept.T
+        _, components = connected_components(skel, directed=False)
+        dropped = np.abs(w)[~kept & ~np.eye(n, dtype=bool)]
+        assert meta == {
+            "threshold": round9(dropped.max(initial=0.0)),
+            "vertices": n,
+            "arcs": int(kept.sum()),
+            "largest_component_fraction": round9(np.bincount(components).max() / n),
+            "min_total_degree": int(skel.sum(axis=1).min()),
+            "degree_floor": round9(2 * math.log(n)),
+        }
+        assert pruned.labels == tuple(map(str, range(n)))
+    assert meta["threshold"] > 0 and meta["arcs"] < n * (n - 1)
 
 
 def test_prune_names_the_file_in_parse_errors(tmp_path, capsys):

@@ -25,7 +25,7 @@ def _uniform(n, value=1.0):
 
 def test_uniform_weights_keep_everything():
     w = _uniform(116)
-    g, t = dg.prune_weighted(w)
+    g, t, _ = dg.prune_weighted(w)
     assert t == 0.0
     assert g.num_pure_arcs + 2 * g.num_recip_pairs == 116 * 115
     degree = g.degrees.sum(axis=1)
@@ -51,18 +51,20 @@ def _reference_threshold(w):
 
 
 def assert_prunes_like_reference(w):
-    """The reference threshold, and the arcs ``|w_ij| > t`` off the diagonal."""
+    """The reference threshold, the arcs ``|w_ij| > t`` off the diagonal,
+    and the largest component of the skeleton they leave."""
     want = _reference_threshold(w)
     if want is None:
         with pytest.raises(UnprunableError):
             dg.prune_weighted(dg.weighted_matrix(w))
         return
-    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    g, t, largest = dg.prune_weighted(dg.weighted_matrix(w))
     assert t == want
     kept = np.abs(w) > want
     np.fill_diagonal(kept, False)
     src, dst = g.arcs()
     assert np.array_equal(src, np.nonzero(kept)[0]) and np.array_equal(dst, np.nonzero(kept)[1])
+    assert largest == _largest_component(kept | kept.T)
 
 
 def test_threshold_is_maximal():
@@ -75,7 +77,7 @@ def test_threshold_is_maximal():
     np.fill_diagonal(w, 0.0)
     weak = 0.3
     w[0, 1] = weak
-    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    g, t, _ = dg.prune_weighted(dg.weighted_matrix(w))
     assert t == _reference_threshold(w)
     later = np.abs(w)[np.abs(w) > t]
     if len(later):
@@ -112,12 +114,13 @@ def test_threshold_matches_dense_reference(w):
 
 
 def _pruned(w):
-    """Threshold and arcs of ``prune_weighted``, or the error it raises."""
+    """Threshold, largest component and arcs of ``prune_weighted``, or the
+    error it raises."""
     try:
-        g, t = dg.prune_weighted(dg.weighted_matrix(w))
+        g, t, largest = dg.prune_weighted(dg.weighted_matrix(w))
     except UnprunableError as exc:
         return str(exc)
-    return t, g.keys.tobytes()
+    return t, largest, g.keys.tobytes()
 
 
 @settings(deadline=None, max_examples=40)
@@ -151,23 +154,35 @@ def _largest_component(skel):
     return best
 
 
-def test_one_percent_may_stay_outside_the_largest_component():
-    # A component outside the largest one passes the degree floor only
-    # with ceil(2 ln n) + 1 vertices, and at most n - ceil(0.99 n) may stay
-    # outside. The number allowed first reaches the number needed at
-    # n = 1600 (16 each), so below that the allowance cannot change t.
-    # Without the allowance, t would be 0 here.
-    n, clique = 1700, 16
+def _allowance_weights(clique, tie=1.0):
+    """1700 regions in two halves, strong within and weaker across, and a
+    16-vertex clique on ``clique`` tied to the rest by weight ``tie`` only."""
+    n = 1700
     rng = np.random.default_rng(0)
     half = np.arange(n) % 2
     w = np.where(half[:, None] == half[None, :], rng.integers(6, 10, (n, n)),
                  rng.integers(2, 6, (n, n))).astype(float)
-    w[-clique:, :] = w[:, -clique:] = 1.0
-    w[-clique:, -clique:] = 9.0
+    w[clique, :] = w[:, clique] = tie
+    w[clique, clique] = 9.0
     np.fill_diagonal(w, 0.0)
-    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    return w
+
+
+@pytest.mark.parametrize("clique, tie", [(np.s_[-16:], 1.0), (np.s_[:16], 1.0), (np.s_[:16], 4.0)],
+                         ids=["last", "first", "first-tied-at-t"])
+def test_one_percent_may_stay_outside_the_largest_component(clique, tie):
+    # A component outside the largest one passes the degree floor only
+    # with ceil(2 ln n) + 1 vertices, and at most n - ceil(0.99 n) may stay
+    # outside. The number allowed first reaches the number needed at
+    # n = 1600 (16 each), so below that the allowance cannot change t.
+    # Without the allowance, t would be 0 here. With the clique first,
+    # vertex 0 lies outside the largest component, and Prim reaches that
+    # component only after a cut; a clique tied by weight t is cut off too.
+    w = _allowance_weights(clique, tie)
+    n = len(w)
+    _, t, largest = dg.prune_weighted(dg.weighted_matrix(w))
     assert t == 4.0
-    assert skeleton_summary(g)["largest_component_fraction"] == 1684 / n
+    assert largest == 1684
 
     def feasible(t):  # both criteria on the dense skeleton, through scipy
         skel = np.abs(w) > t
@@ -195,10 +210,10 @@ def test_postconditions_on_random_instances():
         w = rng.normal(0.0, 1.0, size=(n, n))
         np.fill_diagonal(w, 0.0)
         try:
-            g, t = dg.prune_weighted(dg.weighted_matrix(w))
+            g, t, largest = dg.prune_weighted(dg.weighted_matrix(w))
         except UnprunableError:
             continue
-        summary = skeleton_summary(g)
+        summary = skeleton_summary(g, largest)
         assert summary["largest_component_fraction"] >= 0.99
         assert summary["min_total_degree"] >= 2 * math.log(n)
         kept = np.abs(w) > t
@@ -217,7 +232,7 @@ def test_reciprocal_formed_from_surviving_pair():
                 w[i, j] = 1.0
     w[0, 1] = 2.0
     w[1, 0] = 2.0
-    g, t = dg.prune_weighted(dg.weighted_matrix(w))
+    g, _, _ = dg.prune_weighted(dg.weighted_matrix(w))
     pairs, codes = g.connected_pairs()
     assert pairs[0].tolist() == [0, 1] and codes[0] == 2
 
@@ -480,7 +495,7 @@ def test_load_weighted_csv(tmp_path):
 
 
 def _dense_summary(g):
-    """skeleton_summary from a dense n x n skeleton, as a reference."""
+    """prune's reported summary from a dense n x n skeleton, as a reference."""
     skel = np.zeros((g.n, g.n), dtype=bool)
     src, dst = g.arcs()
     skel[src, dst] = skel[dst, src] = True
@@ -492,21 +507,19 @@ def _dense_summary(g):
 
 
 def test_skeleton_summary_matches_dense_reference():
-    graphs = []
+    matrices = []
     for seed in range(6):  # the instances of the postcondition test
         rng = np.random.default_rng(seed)
         w = rng.normal(0.0, 1.0, size=(30, 30))
         np.fill_diagonal(w, 0.0)
-        graphs.append(dg.prune_weighted(dg.weighted_matrix(w))[0])
-    graphs.append(dg.prune_weighted(_uniform(12))[0])
-    # several components and isolated vertices, which pruned graphs lack
-    graphs.append(dg.random_digraph(60, 0.03, seed=4))
-    graphs.append(dg.DirectedGraph.from_arcs([(0, 1), (2, 3), (3, 2)], n=7))
-    graphs.append(dg.DirectedGraph.from_arcs([], n=5))
-    graphs.append(dg.DirectedGraph.from_arcs([], n=1))  # no join weights
-    # vertex 0 isolated; the largest component joins later
-    graphs.append(dg.DirectedGraph.from_arcs([(1, 2), (2, 3), (3, 1), (4, 5)], n=6))
-    for g in graphs:
-        assert skeleton_summary(g) == _dense_summary(g)
-    fractions = {skeleton_summary(g)["largest_component_fraction"] for g in graphs}
-    assert min(fractions) < 0.99
+        matrices.append(dg.weighted_matrix(w))
+    matrices.append(_uniform(12))
+    # 16 vertices stay outside the largest component
+    matrices.append(dg.weighted_matrix(_allowance_weights(np.s_[-16:])))
+    fractions = set()
+    for w in matrices:
+        g, _, largest = dg.prune_weighted(w)
+        summary = skeleton_summary(g, largest)
+        assert summary == _dense_summary(g)
+        fractions.add(summary["largest_component_fraction"])
+    assert min(fractions) < 1
