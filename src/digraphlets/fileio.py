@@ -46,6 +46,12 @@ def round9(x) -> float:
     return float(fmt_number(x))
 
 
+def _reason(exc) -> str:
+    """An OSError's own words without the path its text repeats; any other
+    error (a UnicodeDecodeError) as it prints."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def read_text(path) -> str:
     """Whole UTF-8 file, less a leading byte-order mark; unreadable or
     non-UTF-8 files raise InputError."""
@@ -53,7 +59,7 @@ def read_text(path) -> str:
         with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {_reason(exc)}") from exc
 
 
 def read_parsed(path, parse):
@@ -68,7 +74,7 @@ def write_text(path, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path}: {_reason(exc)}") from exc
 
 
 def write_json(path, obj) -> None:

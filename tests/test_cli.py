@@ -690,15 +690,23 @@ def test_module_entry_point(cycle_file, tmp_path):
     assert (tmp_path / "m" / "signature.csv").exists()
 
 
-def test_cli_import_skips_scipy_stats_cluster_and_sparse(cycle_file, tmp_path):
-    # neither the import nor a census run loads these scipy packages
-    skipped = ["scipy.stats", "scipy.cluster", "scipy.sparse"]
+@pytest.mark.parametrize("command", ["census", "prune", "randomize", "gcm"])
+def test_cli_import_skips_scipy_stats_cluster_and_sparse(command, random_file, tmp_path):
+    # neither the import nor a run of a command other than cluster loads these
+    # scipy packages
+    skipped = ["scipy.stats", "scipy.cluster", "scipy.sparse", "scipy.spatial"]
+    path = random_file
+    if command == "prune":
+        w = np.random.default_rng(3).normal(size=(30, 30))
+        np.fill_diagonal(w, 0.0)
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join(",".join(map(repr, row)) for row in w.tolist()) + "\n")
     code = (
         "import sys\nfrom digraphlets import cli\n"
         "def loaded():\n    return sorted(m for m in sys.modules if any("
         f"m == s or m.startswith(s + '.') for s in {skipped!r}))\n"
         "print(loaded())\n"
-        f"status = cli.main(['census', {str(cycle_file)!r}, '--out', {str(tmp_path)!r}])\n"
+        f"status = cli.main([{command!r}, {str(path)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
         "print(status, loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -156,8 +156,9 @@ def test_read_text_round_trip_and_errors(tmp_path):
     path.write_bytes(b"a b\n\xff\xfe c\n")
     with pytest.raises(InputError, match="^cannot read .*t.txt: 'utf-8' codec"):
         read_text(path)
-    with pytest.raises(InputError, match="^cannot read .*missing.txt: "):
+    with pytest.raises(InputError, match="^cannot read .*missing.txt: ") as caught:
         read_text(tmp_path / "missing.txt")
+    assert str(caught.value).count(str(tmp_path / "missing.txt")) == 1
     with pytest.raises(InputError, match="^cannot read "):
         read_text(tmp_path)  # a directory
 
