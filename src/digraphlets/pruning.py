@@ -106,13 +106,11 @@ def _is_label(cell: str) -> bool:
     return not _is_number(cell.strip())
 
 
-# a carriage return, which no text read by ``fileio.read_text`` holds, and U+001C..U+001F,
-# which np.loadtxt strips from around a number as whitespace and float() does not
-_NOT_BULK = "\r\x1c\x1d\x1e\x1f"
-
-
-class _Declined(Exception):
-    """The text holds what only ``_weight_rows`` reads exactly."""
+# a quote, a NUL and a carriage return (which no text read by ``fileio.read_text``
+# holds), without which ``csv`` splits a line as str.split(",") does, and
+# U+001C..U+001F, which np.loadtxt strips from around a number as whitespace and
+# float() does not
+_NOT_BULK = '"\x00\r\x1c\x1d\x1e\x1f'
 
 
 def _lines(text: str):
@@ -125,15 +123,12 @@ def _lines(text: str):
         start = stop + 1
 
 
-def _cells(line: str) -> list[str]:
-    """One line's cells as ``csv`` reads them; a blank row, a quote still
-    open at the line's end or a field over the size limit declines."""
-    try:
-        cells = next(csv.reader([line + "\n"]))
-    except csv.Error as exc:
-        raise _Declined from exc
-    if any("\n" in cell for cell in cells) or not any(cell.strip() for cell in cells):
-        raise _Declined
+def _split(line: str, limit: int) -> list[str]:
+    """The cells ``csv`` reads from a line with none of ``_NOT_BULK``; a
+    blank row or a field over ``limit`` characters raises ValueError."""
+    cells = line.split(",")
+    if not any(cell.strip() for cell in cells) or max(map(len, cells)) > limit:
+        raise ValueError
     return cells
 
 
@@ -179,50 +174,41 @@ def _bulk_rows(text: str):
 
     Only the first row and the first column are read as text, and the
     first data row's first cell alone decides whether ``column`` is read.
-    Declined: a blank row, a row of another width than the first data
-    row, a quote open at a line's end, a field over
-    ``csv.field_size_limit()``, a carriage return, a cell np.loadtxt
-    rejects (every cell float() rejects, and ``_`` and non-ASCII digits,
-    which float() takes) and U+001C..U+001F, which only float() rejects.
+    Declined: any of ``_NOT_BULK`` in the text, a blank row, a row of
+    another width than the first data row, a field over
+    ``csv.field_size_limit()`` and a cell np.loadtxt rejects (every cell
+    float() rejects, and ``_`` and non-ASCII digits, which float() takes).
     """
     if any(char in text for char in _NOT_BULK):
         return None
     lines, column, limit = _lines(text), [], csv.field_size_limit()
-    try:
-        line = next(lines)
-        head = _cells(line)
-        if _is_header(head):
-            line = next(lines)
-            first = _cells(line)
-        else:
-            first, head = head, None
-    except (StopIteration, _Declined):
-        return None
-    if len(first) < 2:
-        return None
-    skip = _is_label(first[0])
 
     def cells_read(line):
-        """The cells of a data line that np.loadtxt reads, with no quote
-        (numpy reads none): those after the label, or all.  numpy checks
-        that every row is as wide as the first."""
-        if '"' in line or len(line) > limit:
-            cells = _cells(line)
-            if any("," in cell for cell in cells[skip:]):
-                raise _Declined
-            label, read = cells[0], ",".join(cells[skip:])
-        else:
-            cut = line.index(",")  # a line with no comma raises ValueError
-            label, read = line[:cut], line[cut + 1:] if skip else line
+        """The cells of a data line that np.loadtxt reads: those after the
+        label, or all.  numpy checks that every row is as wide as the first."""
+        if len(line) > limit:  # csv refuses a field over the limit, not a line
+            _split(line, limit)
+        cut = line.index(",")  # a line with no comma raises ValueError
+        read = line[cut + 1:] if skip else line
         if not read:  # np.loadtxt would skip an empty line
-            raise _Declined
-        column.append(label)
+            raise ValueError
+        column.append(line[:cut])
         return read
 
     try:
+        line = next(lines, "")
+        head = _split(line, limit)
+        if _is_header(head):
+            line = next(lines, "")
+            first = _split(line, limit)
+        else:
+            first, head = head, None
+        if len(first) < 2:
+            return None
+        skip = _is_label(first[0])
         values = np.loadtxt(map(cells_read, chain([line], lines)), dtype=np.float64,
                             delimiter=",", comments=None, ndmin=2)
-    except (ValueError, _Declined):
+    except ValueError:
         return None
     return head, (column if skip else None), values
 

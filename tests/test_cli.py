@@ -497,11 +497,19 @@ def test_oracle_command(cycle_file, tmp_path):
     assert len(rows) == 4 and len(rows[0]) == 40
 
 
-def test_oracle_cap_exit(random_file, tmp_path, monkeypatch, capsys):
+def test_oracle_cap_exit(random_file, tmp_path, capsys):
     assert main(["oracle", str(random_file), "--cap", "10",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {random_file}: oracle capped at 10")
+    assert not (tmp_path / "x").exists()
+
+
+def test_oracle_check_refuses_before_the_census(random_file, tmp_path, monkeypatch, capsys):
+    def census(g):
+        pytest.fail("raw_census ran on a graph over the oracle's cap")
+
     monkeypatch.setattr(cli, "oracle_census", lambda g: dg.oracle_census(g, max_n=10))
+    monkeypatch.setattr(cli, "raw_census", census)
     assert main(["census", str(random_file), "--oracle-check",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {random_file}: oracle capped at 10")

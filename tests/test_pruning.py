@@ -446,7 +446,35 @@ def assert_weights_read_like_reference(text):
     assert _weight_outcome(parse_weighted_csv, text) == _weight_outcome(reference_weighted_csv, text)
 
 
-_WEIGHT_ODD_CELL = st.one_of(_ODD_CELL, st.sampled_from(["1#2", "\x1c1", "1\x1f", " -inf", "+NaN "]))
+@pytest.mark.parametrize("text", [
+    ",a\x00,b\na\x00,0,1\nb,1,0\n",  # the header
+    ",a,b\na\x00,0,1\nb,1,0\n",  # the first data row's label
+    ",a,b\na,0,1\nb\x00,1,0\n",  # a later row's label
+    ",a,b\na,0,1\nb,1\x00,0\n",  # a cell
+], ids=["header", "first label", "later label", "cell"])
+def test_a_nul_reads_like_the_reference(text):
+    # csv refuses a NUL before Python 3.11 and reads it as a character after
+    assert_weights_read_like_reference(text)
+
+
+def test_rows_over_the_field_size_limit():
+    # csv limits each field, not the line: rows longer than the limit are
+    # read in bulk, while one field over it fails as the per-row loop words it
+    limit = csv.field_size_limit(20)
+    try:
+        text = "".join(f"{name},0,0.12345678901234,0.5678901234567\n" for name in "abc")
+        assert pruning._bulk_rows(text) is not None
+        assert_weights_read_like_reference(text)
+        text += "d," + "1" * 21 + ",0,0\n"
+        with pytest.raises(InputError, match=r"^line 4: field larger than field limit \(20\)$"):
+            parse_weighted_csv(text)
+        assert_weights_read_like_reference(text)
+    finally:
+        csv.field_size_limit(limit)
+
+
+_WEIGHT_ODD_CELL = st.one_of(_ODD_CELL, st.sampled_from(["1#2", "\x1c1", "1\x1f", " -inf", "+NaN ",
+                                                         "1\x00"]))
 
 
 @st.composite
